@@ -21,8 +21,8 @@ type singlePairAligner interface {
 	alignOne(ctx context.Context, p Pair) (Result, error)
 }
 
-// cpuBackend pools per-goroutine Aligners (the kernels keep scratch, so
-// an Aligner is single-goroutine; the pool amortizes construction across
+// cpuBackend pools per-goroutine aligners (the kernels keep scratch, so
+// an aligner is single-goroutine; the pool amortizes construction across
 // calls instead of rebuilding one per AlignBatch worker).
 type cpuBackend struct {
 	threads int
@@ -33,12 +33,12 @@ type cpuBackend struct {
 }
 
 func newCPUBackend(cfg Config, threads int) (*cpuBackend, error) {
-	if _, err := New(cfg); err != nil { // validate eagerly, once
+	if _, err := newAligner(cfg); err != nil { // validate eagerly, once
 		return nil, err
 	}
 	b := &cpuBackend{threads: threads}
 	b.pool.New = func() any {
-		a, err := New(cfg)
+		a, err := newAligner(cfg)
 		if err != nil {
 			panic(err) // unreachable: cfg validated in newCPUBackend
 		}
@@ -65,7 +65,7 @@ func (b *cpuBackend) alignOne(ctx context.Context, p Pair) (Result, error) {
 	// a measure of AlignBatch executions, so pairs-per-batch ratios from
 	// Stats keep meaning batching efficiency.
 	b.pairs.Add(1)
-	a := b.pool.Get().(*Aligner)
+	a := b.pool.Get().(*aligner)
 	defer b.pool.Put(a)
 	return a.Align(p.Query, p.Ref)
 }
@@ -82,7 +82,7 @@ func (b *cpuBackend) AlignBatch(ctx context.Context, _ Config, pairs []Pair) ([]
 	threads := min(b.threads, len(pairs))
 	results := make([]Result, len(pairs))
 	if threads <= 1 {
-		a := b.pool.Get().(*Aligner)
+		a := b.pool.Get().(*aligner)
 		defer b.pool.Put(a)
 		for i := range pairs {
 			if err := ctx.Err(); err != nil {
@@ -110,7 +110,7 @@ func (b *cpuBackend) AlignBatch(ctx context.Context, _ Config, pairs []Pair) ([]
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			a := b.pool.Get().(*Aligner)
+			a := b.pool.Get().(*aligner)
 			defer b.pool.Put(a)
 			for i := range jobs {
 				if err := ctx.Err(); err != nil {
@@ -144,6 +144,30 @@ func (b *cpuBackend) AlignBatch(ctx context.Context, _ Config, pairs []Pair) ([]
 		return nil, ctxErr
 	}
 	return results, nil
+}
+
+// GPUStats reports one simulated device launch (one AlignBatch call, or
+// one read's candidate batch under MapAlign). Every figure is per-launch,
+// not cumulative across the engine's lifetime.
+type GPUStats struct {
+	// Device names the simulated device model (e.g. "NVIDIA RTX A6000").
+	Device string `json:"device"`
+	// Seconds is the modelled wall-clock time of the launch: MakespanCycles
+	// divided by the device clock.
+	Seconds float64 `json:"seconds"`
+	// MakespanCycles is the modelled cycle count of the launch's critical
+	// path (block schedule plus L2/DRAM bandwidth floors).
+	MakespanCycles uint64 `json:"makespan_cycles"`
+	// BlocksPerSM is the occupancy the launch ran at.
+	BlocksPerSM int `json:"blocks_per_sm"`
+	// SharedBlocks / SpilledBlocks count pairs (one pair = one thread
+	// block) whose DP working set did / did not fit the block's
+	// shared-memory allocation; spilled blocks pay the L2/DRAM path.
+	SharedBlocks  int `json:"shared_blocks"`
+	SpilledBlocks int `json:"spilled_blocks"`
+	// PairsPerSecond is this launch's modelled throughput: the batch's
+	// pair count divided by Seconds. It is zero for an empty launch.
+	PairsPerSecond float64 `json:"pairs_per_second"`
 }
 
 // gpuBackend wraps the simulated-GPU batch path. A launch is monolithic
@@ -180,7 +204,7 @@ func newGPUBackend(cfg Config, blocksPerSM int) (*gpuBackend, error) {
 	gcfg.Device = gpu.A6000()
 	// Validate the window geometry eagerly with a throwaway launch config
 	// check: the same Config constructor the CPU path uses.
-	if _, err := New(Config{Algorithm: cfg.Algorithm, WindowSize: cfg.WindowSize,
+	if _, err := newAligner(Config{Algorithm: cfg.Algorithm, WindowSize: cfg.WindowSize,
 		Overlap: cfg.Overlap, ErrorK: cfg.ErrorK}); err != nil {
 		return nil, err
 	}

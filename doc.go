@@ -110,23 +110,4 @@
 // or incrementally streamed SAM/PAF. The full HTTP reference is
 // docs/API.md; the layer map with the MapAlign data flow is
 // docs/ARCHITECTURE.md.
-//
-// # Migrating from the pre-Engine API
-//
-// The original entry points remain as thin deprecated shims that
-// delegate to a throwaway Engine: New/Aligner.Align is NewEngine +
-// Engine.Align, the package-level AlignBatch is Engine.AlignBatch with
-// WithThreads, and AlignBatchGPU is Engine.AlignBatch under
-// WithBackendName("gpu") with stats from Engine.BackendStats. WithConfig
-// seeds an Engine from a legacy Config during migration.
-//
-// # Migrating from the enum backend API
-//
-// The backend enum predates the registry and is deprecated in favour of
-// names: WithBackend(CPU|GPU) is WithBackendName("cpu"|"gpu") (the shim
-// resolves through the same registry), Engine.Backend is
-// Engine.BackendName, and Engine.GPUStats is the GPU field of
-// Engine.BackendStats (the shim digs it out of the snapshot, composite
-// children included). Enum callers keep compiling and keep their exact
-// behaviour; they just cannot name composite or third-party backends.
 package genasm

@@ -8,34 +8,6 @@ import (
 	"sync"
 )
 
-// BackendKind enumerates the two built-in leaf backends.
-//
-// Deprecated: backends are now resolved by registered name (see Register
-// and WithBackendName); BackendKind remains only so pre-registry callers
-// keep compiling. It cannot name the "multi" composite or any
-// third-party backend.
-type BackendKind int
-
-const (
-	// CPU executes alignments on pooled per-goroutine aligners.
-	CPU BackendKind = iota
-	// GPU executes alignments on the simulated SIMT device (an NVIDIA
-	// A6000 model; see internal/gpu). Functional results are bit-identical
-	// to the CPU backend for the same configuration.
-	GPU
-)
-
-func (k BackendKind) String() string {
-	switch k {
-	case CPU:
-		return "cpu"
-	case GPU:
-		return "gpu"
-	default:
-		return fmt.Sprintf("backend(%d)", int(k))
-	}
-}
-
 // engineSettings collects everything the functional options configure.
 type engineSettings struct {
 	cfg         Config
@@ -63,15 +35,6 @@ func WithAlgorithm(a Algorithm) Option {
 // valid names in the error.
 func WithBackendName(name string) Option {
 	return func(s *engineSettings) { s.backendName = name }
-}
-
-// WithBackend selects the execution backend by enum kind.
-//
-// Deprecated: use WithBackendName, which can also name registered
-// third-party and composite backends. This shim resolves k.String()
-// through the same registry.
-func WithBackend(k BackendKind) Option {
-	return WithBackendName(k.String())
 }
 
 // WithWindow sets the GenASM window geometry: window size w, overlap o and
@@ -136,8 +99,8 @@ func WithGPUBlocksPerSM(n int) Option {
 	return func(s *engineSettings) { s.blocksPerSM = n }
 }
 
-// WithConfig seeds every aligner parameter from a legacy Config; later
-// options still apply on top. A migration bridge for pre-Engine callers.
+// WithConfig seeds every aligner parameter from a Config; later options
+// still apply on top.
 func WithConfig(cfg Config) Option {
 	return func(s *engineSettings) { s.cfg = cfg }
 }
@@ -212,18 +175,6 @@ func (e *Engine) BackendName() string { return e.beName }
 // special-casing backend kinds.
 func (e *Engine) Capabilities() Capabilities { return e.caps }
 
-// Backend reports which built-in backend the engine runs on.
-//
-// Deprecated: use BackendName; the enum cannot represent composite or
-// third-party backends (anything that is not the built-in GPU backend
-// reports CPU).
-func (e *Engine) Backend() BackendKind {
-	if e.beName == "gpu" {
-		return GPU
-	}
-	return CPU
-}
-
 // MaxQueryLen reports the engine's effective query-length limit (0 =
 // unlimited): the tighter of the WithMaxQueryLen guardrail and the
 // backend's Capabilities.MaxQueryLen. Batch admission layers use it to
@@ -252,14 +203,6 @@ func (e *Engine) Fingerprint() string {
 // batches and pairs executed, per-child breakdowns for composite
 // backends, and the most recent device launch when one exists.
 func (e *Engine) BackendStats() BackendStats { return e.be.Stats() }
-
-// GPUStats returns the simulated-device stats of the most recent launch.
-// The second return is false on a backend with no device (or device-backed
-// child) and before any launch.
-//
-// Deprecated: use BackendStats, which is generic across backends; this
-// shim returns the first device launch found in that snapshot.
-func (e *Engine) GPUStats() (GPUStats, bool) { return e.be.Stats().findGPU() }
 
 func (e *Engine) checkQuery(q []byte) error {
 	if e.maxQueryLen > 0 && len(q) > e.maxQueryLen {
@@ -473,45 +416,20 @@ func (e *Engine) MapAlign(ctx context.Context, reads <-chan Read) (<-chan Mapped
 // batch, so on the GPU a read is one simulated launch, not one per
 // candidate.
 func (e *Engine) mapAlignOne(ctx context.Context, idx int, rd Read) []MappedAlignment {
-	base := MappedAlignment{ReadIndex: idx, Read: rd}
 	if err := e.checkQuery(rd.Seq); err != nil {
-		base.Err = fmt.Errorf("read %q: %w", rd.Name, err)
-		return []MappedAlignment{base}
+		return []MappedAlignment{{ReadIndex: idx, Read: rd, Err: fmt.Errorf("read %q: %w", rd.Name, err)}}
 	}
-	cands := e.mapper.Candidates(rd.Seq)
-	if len(cands) == 0 {
-		base.Unmapped = true
-		return []MappedAlignment{base}
-	}
-	base.Candidates = len(cands)
-	if len(cands) > 1 {
-		base.SecondaryScore = cands[1].Score
-	}
-	if !e.allCands {
-		cands = cands[:1]
-	}
-	var rc []byte // lazily computed reverse complement
-	pairs := make([]Pair, len(cands))
-	out := make([]MappedAlignment, len(cands))
-	for i, c := range cands {
-		q := rd.Seq
-		if c.RevComp {
-			if rc == nil {
-				rc = ReverseComplement(rd.Seq)
-			}
-			q = rc
-		}
-		pairs[i] = Pair{Query: q, Ref: e.mapper.Region(c)}
-		out[i] = base
-		out[i].Candidate, out[i].Rank = c, i
-	}
+	out, pairs := e.mapper.Plan(idx, rd, e.allCands)
 	var results []Result
 	var err error
-	if len(pairs) == 1 {
+	switch len(pairs) {
+	case 0:
+		return out // unmapped
+	case 1:
 		var r Result
 		r, err = e.alignOne(ctx, pairs[0])
 		results = []Result{r}
-	} else {
+	default:
 		results, err = e.runBatch(ctx, pairs)
 	}
 	if err != nil {

@@ -25,11 +25,11 @@ func TestEngineBackendParity(t *testing.T) {
 	ctx := context.Background()
 	pairs := testPairs(11, 24, 400, 0.1)
 	for _, algo := range []Algorithm{GenASM, GenASMUnimproved} {
-		cpuEng, err := NewEngine(WithAlgorithm(algo), WithBackend(CPU))
+		cpuEng, err := NewEngine(WithAlgorithm(algo), WithBackendName("cpu"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		gpuEng, err := NewEngine(WithAlgorithm(algo), WithBackend(GPU))
+		gpuEng, err := NewEngine(WithAlgorithm(algo), WithBackendName("gpu"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,13 +54,13 @@ func TestEngineAlignBatchContextCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	small := testPairs(12, 4, 200, 0.1)
-	for _, kind := range []BackendKind{CPU, GPU} {
-		eng, err := NewEngine(WithBackend(kind))
+	for _, name := range []string{"cpu", "gpu"} {
+		eng, err := NewEngine(WithBackendName(name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.AlignBatch(cancelled, small); !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v backend: err = %v, want context.Canceled", kind, err)
+			t.Fatalf("%s backend: err = %v, want context.Canceled", name, err)
 		}
 	}
 
@@ -82,6 +82,28 @@ func TestEngineAlignBatchContextCancellation(t *testing.T) {
 	}
 }
 
+// TestEngineFingerprintPinned pins the result-cache key: a default or
+// geometry change that moved it would silently orphan every cached
+// result (and split a cluster's cache across old and new nodes).
+func TestEngineFingerprintPinned(t *testing.T) {
+	cases := []struct {
+		opts []Option
+		want string
+	}{
+		{nil, "algo=genasm;w=64;o=24;k=12;abl=falsefalsefalse;sc=2/4/4/2;band=500;be=cpu;all=false;maxq=0"},
+		{[]Option{WithWindow(8, 0, 0)}, "algo=genasm;w=8;o=0;k=8;abl=falsefalsefalse;sc=2/4/4/2;band=500;be=cpu;all=false;maxq=0"},
+	}
+	for _, tc := range cases {
+		eng, err := NewEngine(tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Fingerprint(); got != tc.want {
+			t.Fatalf("Fingerprint() = %q, want %q", got, tc.want)
+		}
+	}
+}
+
 func TestEngineOptionValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -90,10 +112,10 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"unknown algorithm", []Option{WithAlgorithm("bwa")}},
 		{"overlap >= window", []Option{WithWindow(16, 20, 4)}},
 		{"error budget > window", []Option{WithWindow(64, 24, 70)}},
-		{"gpu kernel for edlib", []Option{WithBackend(GPU), WithAlgorithm(Edlib)}},
-		{"gpu ablation", []Option{WithBackend(GPU), WithAblation(false, false, true)}},
+		{"gpu kernel for edlib", []Option{WithBackendName("gpu"), WithAlgorithm(Edlib)}},
+		{"gpu ablation", []Option{WithBackendName("gpu"), WithAblation(false, false, true)}},
 		{"dent without sene", []Option{WithAblation(true, false, false)}},
-		{"unknown backend", []Option{WithBackend(BackendKind(99))}},
+		{"unknown backend", []Option{WithBackendName("tpu")}},
 	}
 	for _, tc := range cases {
 		if _, err := NewEngine(tc.opts...); err == nil {
@@ -276,69 +298,25 @@ func TestEngineGPUStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cpuEng.GPUStats(); ok {
+	if _, err := cpuEng.AlignBatch(ctx, pairs); err != nil {
+		t.Fatal(err)
+	}
+	if st := cpuEng.BackendStats(); st.GPU != nil {
 		t.Fatal("CPU backend reported GPU stats")
 	}
-	gpuEng, err := NewEngine(WithBackend(GPU))
+	gpuEng, err := NewEngine(WithBackendName("gpu"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := gpuEng.GPUStats(); ok {
+	if st := gpuEng.BackendStats(); st.GPU != nil {
 		t.Fatal("GPU stats before any launch")
 	}
 	if _, err := gpuEng.AlignBatch(ctx, pairs); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := gpuEng.GPUStats()
-	if !ok || st.Seconds <= 0 || st.PairsPerSecond <= 0 || st.Device == "" {
-		t.Fatalf("stats %+v ok=%v", st, ok)
-	}
-}
-
-// TestDeprecatedShimsMatchEngine pins the compatibility contract: the old
-// entry points must produce exactly what the Engine produces.
-func TestDeprecatedShimsMatchEngine(t *testing.T) {
-	ctx := context.Background()
-	pairs := testPairs(16, 10, 300, 0.1)
-
-	old, err := AlignBatch(Config{Algorithm: GenASM}, pairs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(WithAlgorithm(GenASM), WithThreads(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err := eng.AlignBatch(ctx, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pairs {
-		if old[i] != now[i] {
-			t.Fatalf("pair %d: shim %+v != engine %+v", i, old[i], now[i])
-		}
-	}
-
-	oldGPU, oldSt, err := AlignBatchGPU(GPUConfig{}, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gpuEng, err := NewEngine(WithBackend(GPU))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nowGPU, err := gpuEng.AlignBatch(ctx, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pairs {
-		if oldGPU[i] != nowGPU[i] {
-			t.Fatalf("pair %d: gpu shim %+v != engine %+v", i, oldGPU[i], nowGPU[i])
-		}
-	}
-	newSt, ok := gpuEng.GPUStats()
-	if !ok || oldSt.MakespanCycles != newSt.MakespanCycles {
-		t.Fatalf("gpu stats diverge: shim %+v engine %+v", oldSt, newSt)
+	st := gpuEng.BackendStats().GPU
+	if st == nil || st.Seconds <= 0 || st.PairsPerSecond <= 0 || st.Device == "" {
+		t.Fatalf("stats %+v", st)
 	}
 }
 

@@ -26,14 +26,9 @@ func main() {
 		log.Fatal(err)
 	}
 	var pairs []genasm.Pair
-	for _, r := range reads {
-		for _, c := range mapper.Candidates(r.Seq) {
-			q := r.Seq
-			if c.RevComp {
-				q = genasm.ReverseComplement(q)
-			}
-			pairs = append(pairs, genasm.Pair{Query: q, Ref: mapper.Region(c)})
-		}
+	for i, r := range reads {
+		_, ps := mapper.Plan(i, genasm.Read{Name: r.Name, Seq: r.Seq}, true)
+		pairs = append(pairs, ps...)
 	}
 	fmt.Printf("launching %d alignment blocks on the device model...\n\n", len(pairs))
 

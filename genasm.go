@@ -1,7 +1,6 @@
 package genasm
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -35,8 +34,8 @@ func Algorithms() []Algorithm {
 	return []Algorithm{GenASM, GenASMUnimproved, Edlib, KSW2, SWG}
 }
 
-// Config configures an Aligner. The zero value selects improved GenASM
-// with the paper's parameters (W=64, O=24, k=12).
+// Config configures an Engine (see WithConfig). The zero value selects
+// improved GenASM with the paper's parameters (core.DefaultConfig).
 type Config struct {
 	Algorithm Algorithm
 	// GenASM window geometry (GenASM algorithms only). Zero values take
@@ -54,18 +53,22 @@ type Config struct {
 	BandWidth int
 }
 
+// fillDefaults takes the window geometry from core.DefaultConfig; the
+// overlap default applies only to the default window size, and k never
+// exceeds the window.
 func (c *Config) fillDefaults() {
 	if c.Algorithm == "" {
 		c.Algorithm = GenASM
 	}
+	def := core.DefaultConfig()
 	if c.WindowSize == 0 {
-		c.WindowSize = 64
+		c.WindowSize = def.W
 	}
-	if c.Overlap == 0 && c.WindowSize == 64 {
-		c.Overlap = 24
+	if c.Overlap == 0 && c.WindowSize == def.W {
+		c.Overlap = def.O
 	}
 	if c.ErrorK == 0 {
-		c.ErrorK = min(12, c.WindowSize)
+		c.ErrorK = min(def.InitialK, c.WindowSize)
 	}
 	if c.MatchScore == 0 {
 		c.MatchScore = 2
@@ -103,22 +106,17 @@ type Result struct {
 	RefConsumed int
 }
 
-// Aligner aligns query sequences against candidate reference regions.
-// An Aligner is NOT safe for concurrent use (the GenASM kernels keep
-// per-aligner scratch); create one per goroutine, or use AlignBatch.
-type Aligner struct {
-	cfg  Config
+// aligner aligns query sequences against candidate reference regions.
+// An aligner is NOT safe for concurrent use (the GenASM kernels keep
+// per-aligner scratch); the cpu backend pools one per goroutine.
+type aligner struct {
 	impl func(q, t []byte) (Result, error)
 }
 
-// New builds an Aligner for cfg.
-//
-// Deprecated: new code should construct an Engine with NewEngine, which
-// pools aligners and adds batch, streaming and backend selection on top
-// of the same kernels. New remains the single-goroutine building block.
-func New(cfg Config) (*Aligner, error) {
+// newAligner builds an aligner for cfg.
+func newAligner(cfg Config) (*aligner, error) {
 	cfg.fillDefaults()
-	a := &Aligner{cfg: cfg}
+	a := &aligner{}
 	pen := cfg.penalties()
 	switch cfg.Algorithm {
 	case GenASM:
@@ -184,31 +182,13 @@ func New(cfg Config) (*Aligner, error) {
 	return a, nil
 }
 
-// Config returns the aligner's (default-filled) configuration.
-func (a *Aligner) Config() Config { return a.cfg }
-
 // Align aligns query against the candidate reference region ref. Both are
 // raw ASCII sequences; non-ACGT characters never match anything.
-func (a *Aligner) Align(query, ref []byte) (Result, error) {
+func (a *aligner) Align(query, ref []byte) (Result, error) {
 	return a.impl(dna.EncodeSeq(query), dna.EncodeSeq(ref))
 }
 
 // Pair is one batch alignment job.
 type Pair struct {
 	Query, Ref []byte
-}
-
-// AlignBatch aligns every pair with `threads` goroutines (0 = GOMAXPROCS).
-// Results are index-aligned with pairs.
-//
-// Deprecated: use NewEngine and Engine.AlignBatch, which add context
-// cancellation, aligner pooling and backend selection. This shim
-// delegates to a throwaway Engine.
-func AlignBatch(cfg Config, pairs []Pair, threads int) ([]Result, error) {
-	eng, err := NewEngine(WithConfig(cfg), WithThreads(threads))
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow ctxflow deprecated pre-Engine shim has no ctx parameter to thread; callers wanting cancellation migrate to Engine.AlignBatch
-	return eng.AlignBatch(context.Background(), pairs)
 }

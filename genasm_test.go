@@ -1,6 +1,7 @@
 package genasm
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -41,7 +42,7 @@ func TestEveryAlgorithmAlignsConsistently(t *testing.T) {
 	q := randSeq(rng, 500)
 	r := mutate(rng, q, 0.08)
 	for _, algo := range Algorithms() {
-		a, err := New(Config{Algorithm: algo})
+		a, err := newAligner(Config{Algorithm: algo})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -63,11 +64,11 @@ func TestEveryAlgorithmAlignsConsistently(t *testing.T) {
 
 func TestEditDistanceAlgorithmsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	ed, err := New(Config{Algorithm: Edlib})
+	ed, err := newAligner(Config{Algorithm: Edlib})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := New(Config{Algorithm: SWG})
+	sw, err := newAligner(Config{Algorithm: SWG})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestPerfectMatchAllAlgorithms(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := randSeq(rng, 300)
 	for _, algo := range Algorithms() {
-		a, _ := New(Config{Algorithm: algo})
+		a, _ := newAligner(Config{Algorithm: algo})
 		res, err := a.Align(s, s)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
@@ -110,16 +111,16 @@ func TestPerfectMatchAllAlgorithms(t *testing.T) {
 }
 
 func TestUnknownAlgorithmRejected(t *testing.T) {
-	if _, err := New(Config{Algorithm: "bwa"}); err == nil {
+	if _, err := newAligner(Config{Algorithm: "bwa"}); err == nil {
 		t.Fatal("accepted unknown algorithm")
 	}
 }
 
 func TestAblationTogglesOnlyForImproved(t *testing.T) {
-	if _, err := New(Config{Algorithm: GenASMUnimproved, DisableET: true}); err == nil {
+	if _, err := newAligner(Config{Algorithm: GenASMUnimproved, DisableET: true}); err == nil {
 		t.Fatal("accepted toggles on unimproved")
 	}
-	if _, err := New(Config{Algorithm: GenASM, DisableET: true}); err != nil {
+	if _, err := newAligner(Config{Algorithm: GenASM, DisableET: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -131,12 +132,15 @@ func TestAlignBatchMatchesSingle(t *testing.T) {
 		q := randSeq(rng, 200+rng.Intn(200))
 		pairs[i] = Pair{Query: q, Ref: mutate(rng, q, 0.1)}
 	}
-	cfg := Config{Algorithm: GenASM}
-	batch, err := AlignBatch(cfg, pairs, 4)
+	eng, err := NewEngine(WithAlgorithm(GenASM), WithThreads(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := New(cfg)
+	batch, err := eng.AlignBatch(context.Background(), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := newAligner(Config{Algorithm: GenASM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,26 +156,39 @@ func TestAlignBatchMatchesSingle(t *testing.T) {
 }
 
 func TestAlignBatchEmptyAndInvalid(t *testing.T) {
-	if res, err := AlignBatch(Config{}, nil, 0); err != nil || len(res) != 0 {
+	eng, err := NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := eng.AlignBatch(context.Background(), nil); err != nil || len(res) != 0 {
 		t.Fatal("empty batch")
 	}
-	if _, err := AlignBatch(Config{Algorithm: "nope"}, []Pair{{}}, 1); err == nil {
+	if _, err := NewEngine(WithAlgorithm("nope")); err == nil {
 		t.Fatal("accepted bad config")
 	}
 }
 
 func TestGPUBatchMatchesCPU(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(5))
 	pairs := make([]Pair, 10)
 	for i := range pairs {
 		q := randSeq(rng, 400)
 		pairs[i] = Pair{Query: q, Ref: mutate(rng, q, 0.1)}
 	}
-	gpuRes, st, err := AlignBatchGPU(GPUConfig{}, pairs)
+	gpuEng, err := NewEngine(WithBackendName("gpu"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpuRes, err := AlignBatch(Config{Algorithm: GenASM}, pairs, 2)
+	gpuRes, err := gpuEng.AlignBatch(ctx, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpuEng, err := NewEngine(WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpuRes, err := cpuEng.AlignBatch(ctx, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +197,14 @@ func TestGPUBatchMatchesCPU(t *testing.T) {
 			t.Fatalf("pair %d: gpu %+v cpu %+v", i, gpuRes[i], cpuRes[i])
 		}
 	}
-	if st.Seconds <= 0 || st.PairsPerSecond <= 0 {
+	st := gpuEng.BackendStats().GPU
+	if st == nil || st.Seconds <= 0 || st.PairsPerSecond <= 0 {
 		t.Fatalf("stats %+v", st)
 	}
 	if st.SpilledBlocks != 0 {
 		t.Fatalf("improved kernel spilled %d blocks", st.SpilledBlocks)
 	}
-	if _, _, err := AlignBatchGPU(GPUConfig{Algorithm: Edlib}, pairs); err == nil {
+	if _, err := NewEngine(WithBackendName("gpu"), WithAlgorithm(Edlib)); err == nil {
 		t.Fatal("accepted GPU launch for edlib")
 	}
 }
@@ -204,7 +222,7 @@ func TestWorkloadPipelineThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aligner, err := New(Config{Algorithm: GenASM})
+	aligner, err := newAligner(Config{Algorithm: GenASM})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +277,7 @@ func TestCigarStringsParseable(t *testing.T) {
 	q := randSeq(rng, 300)
 	r := mutate(rng, q, 0.15)
 	for _, algo := range Algorithms() {
-		a, _ := New(Config{Algorithm: algo})
+		a, _ := newAligner(Config{Algorithm: algo})
 		res, err := a.Align(q, r)
 		if err != nil {
 			t.Fatal(err)

@@ -27,8 +27,11 @@ type Config struct {
 	InitialK int // per-window error budget, doubled on failure
 }
 
-// DefaultConfig matches the improved aligner's defaults (W=64, O=24, k=12).
-func DefaultConfig() Config { return Config{W: 64, O: 24, InitialK: 12} }
+// DefaultConfig is core.DefaultConfig's window geometry.
+func DefaultConfig() Config {
+	d := core.DefaultConfig()
+	return Config{W: d.W, O: d.O, InitialK: d.InitialK}
+}
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {

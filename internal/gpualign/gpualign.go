@@ -43,7 +43,8 @@ func (a Algorithm) String() string {
 type Config struct {
 	Device    gpu.DeviceConfig
 	Algorithm Algorithm
-	// Window geometry (paper defaults when zero: W=64, O=24, k=12).
+	// Window geometry. Start from DefaultConfig: a zero geometry is
+	// rejected, not defaulted.
 	W, O, InitialK int
 	// TargetBlocksPerSM sets the per-block shared-memory allocation to
 	// SharedMemPerSM/TargetBlocksPerSM (default 8), trading occupancy
@@ -54,22 +55,17 @@ type Config struct {
 	OpsPerEntry int
 }
 
-// DefaultConfig returns the paper's GPU configuration on the A6000 model.
+// DefaultConfig returns the paper's GPU configuration on the A6000 model,
+// with the window geometry of core.DefaultConfig.
 func DefaultConfig(algo Algorithm) Config {
-	return Config{Device: gpu.A6000(), Algorithm: algo, W: 64, O: 24, InitialK: 12,
+	w := core.DefaultConfig()
+	return Config{Device: gpu.A6000(), Algorithm: algo, W: w.W, O: w.O, InitialK: w.InitialK,
 		TargetBlocksPerSM: 8, OpsPerEntry: 16}
 }
 
+// fillDefaults guards the launch-model fields the shared-memory budget
+// divides by; the window geometry is validated by the kernels instead.
 func (c *Config) fillDefaults() {
-	if c.W == 0 {
-		c.W = 64
-	}
-	if c.O == 0 && c.W == 64 {
-		c.O = 24
-	}
-	if c.InitialK == 0 {
-		c.InitialK = 12
-	}
 	if c.TargetBlocksPerSM <= 0 {
 		c.TargetBlocksPerSM = 8
 	}

@@ -39,8 +39,7 @@ type Capabilities struct {
 }
 
 // BackendStats is a backend's cumulative operational snapshot, generic
-// across kinds (the device-specific Engine.GPUStats is a deprecated shim
-// over this).
+// across kinds.
 type BackendStats struct {
 	// Name is the backend's resolved name (e.g. "cpu", "multi(cpu,gpu)").
 	Name string `json:"name"`
@@ -58,20 +57,6 @@ type BackendStats struct {
 	GPU *GPUStats `json:"gpu,omitempty"`
 	// Children holds per-child snapshots for composite backends.
 	Children []BackendStats `json:"children,omitempty"`
-}
-
-// findGPU returns the first device-launch stats found in this snapshot
-// or its children (depth-first), mirroring the deprecated GPUStats shim.
-func (s BackendStats) findGPU() (GPUStats, bool) {
-	if s.GPU != nil {
-		return *s.GPU, true
-	}
-	for _, c := range s.Children {
-		if st, ok := c.findGPU(); ok {
-			return st, true
-		}
-	}
-	return GPUStats{}, false
 }
 
 // Backend executes alignment batches for an Engine. Implementations must

@@ -65,12 +65,6 @@ func TestNewEngineUnknownBackendListsNames(t *testing.T) {
 			t.Fatalf("error %q does not mention %q", err, want)
 		}
 	}
-	// The deprecated enum shim resolves through the same registry, so an
-	// invalid kind gets the same self-diagnosing error.
-	if _, err := NewEngine(WithBackend(BackendKind(99))); err == nil ||
-		!strings.Contains(err.Error(), "cpu") {
-		t.Fatalf("WithBackend(99): err = %v, want unknown-backend listing", err)
-	}
 }
 
 // TestLeafBackendsRejectParameterizedSpecs: "cpu(8)" resolves to the cpu
@@ -304,10 +298,5 @@ func TestEngineCapabilitiesAndStats(t *testing.T) {
 	st = gpuEng.BackendStats()
 	if st.Name != "gpu" || st.GPU == nil || st.GPU.Seconds <= 0 {
 		t.Fatalf("gpu stats after launch = %+v", st)
-	}
-	// The deprecated shim must agree with the generic snapshot.
-	shim, ok := gpuEng.GPUStats()
-	if !ok || shim != *st.GPU {
-		t.Fatalf("GPUStats shim %+v != BackendStats.GPU %+v", shim, st.GPU)
 	}
 }

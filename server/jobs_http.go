@@ -257,19 +257,14 @@ func (s *Server) runBulkJob(ctx context.Context, spec jobs.Spec, inputPath strin
 		sw := samfmt.NewWriter(out, format, []samfmt.Ref{sref}, samProgram(format))
 		emit = func(chunk []ReadIn, aligned []alignedRead) (int, error) {
 			failed := 0
-			for i, ar := range aligned {
-				switch {
-				case ar.err != nil:
+			for _, ar := range aligned {
+				if ar.err != nil {
 					failed++ // SAM/PAF have no error record
-				case ar.unmapped:
-					if err := sw.Write(sref, unmappedAlignment(chunk[i])); err != nil {
+					continue
+				}
+				for _, m := range ar.mals {
+					if err := sw.Write(sref, m); err != nil {
 						return failed, err
-					}
-				default:
-					for _, m := range ar.mals {
-						if err := sw.Write(sref, m); err != nil {
-							return failed, err
-						}
 					}
 				}
 			}
@@ -362,7 +357,7 @@ func toMappedRead(name string, ar alignedRead) MappedRead {
 	switch {
 	case ar.err != nil:
 		mr.Error = ar.err.Error()
-	case ar.unmapped:
+	case ar.mals[0].Unmapped:
 		mr.Unmapped = true
 	default:
 		mr.Alignments = make([]MapAlignment, len(ar.mals))

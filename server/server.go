@@ -511,23 +511,22 @@ func (s *Server) handleMapAlign(w http.ResponseWriter, r *http.Request) {
 	s.exec.execMapAlign(w, r, raw, req, format)
 }
 
-// alignedRead is one read's outcome from alignReads. Exactly one of err,
-// unmapped, or a non-empty mals is set; cached is index-aligned with
-// mals.
+// alignedRead is one read's outcome from alignReads: either err, or the
+// read's emissions from Mapper.Plan (a single Unmapped one when the read
+// has no candidate location) with cached index-aligned to them.
 type alignedRead struct {
-	err      error
-	unmapped bool
-	mals     []genasm.MappedAlignment
-	cached   []bool
+	err    error
+	mals   []genasm.MappedAlignment
+	cached []bool
 }
 
 // alignReads runs map+align for a batch of reads against one registered
-// reference: candidate location on the shared mapper, result-cache
-// lookups, and a single scheduler submission for every cache miss in the
-// batch (so the pairs coalesce with other requests' work). Per-read
-// problems (empty sequence, over the engine's query limit) land in that
-// read's err; the returned error is a whole-submission failure
-// (backpressure, shutdown, cancellation).
+// reference: planning on the shared mapper, result-cache lookups, and a
+// single scheduler submission for every cache miss in the batch (so the
+// pairs coalesce with other requests' work). Per-read problems (empty
+// sequence, over the engine's query limit) land in that read's err; the
+// returned error is a whole-submission failure (backpressure, shutdown,
+// cancellation).
 func (s *Server) alignReads(ctx context.Context, ref *Reference, reads []ReadIn, all bool) ([]alignedRead, error) {
 	maxQ := s.eng.MaxQueryLen()
 	out := make([]alignedRead, len(reads))
@@ -545,51 +544,28 @@ func (s *Server) alignReads(ctx context.Context, ref *Reference, reads []ReadIn,
 			out[i].err = fmt.Errorf("read length %d exceeds limit %d", len(rd.Seq), maxQ)
 			continue
 		}
-		seq := []byte(rd.Seq)
-		cands := ref.Mapper().Candidates(seq)
-		if len(cands) == 0 {
+		read := genasm.Read{Name: rd.Name, Seq: []byte(rd.Seq), Qual: []byte(rd.Qual)}
+		mals, pairs := ref.Mapper().Plan(i, read, all)
+		out[i].mals = mals
+		if len(pairs) == 0 {
 			s.metrics.readsNoCands.Add(1)
-			out[i].unmapped = true
 			continue
 		}
 		s.metrics.readsMapped.Add(1)
-		base := genasm.MappedAlignment{
-			ReadIndex:  i,
-			Read:       genasm.Read{Name: rd.Name, Seq: seq, Qual: []byte(rd.Qual)},
-			Candidates: len(cands),
-		}
-		if len(cands) > 1 {
-			base.SecondaryScore = cands[1].Score
-		}
-		if !all {
-			cands = cands[:1]
-		}
-		var rc []byte // lazily computed reverse complement
-		out[i].mals = make([]genasm.MappedAlignment, len(cands))
-		out[i].cached = make([]bool, len(cands))
-		for rank, c := range cands {
-			q := seq
-			if c.RevComp {
-				if rc == nil {
-					rc = genasm.ReverseComplement(seq)
-				}
-				q = rc
-			}
-			region := ref.Mapper().Region(c)
-			out[i].mals[rank] = base
-			out[i].mals[rank].Candidate, out[i].mals[rank].Rank = c, rank
+		out[i].cached = make([]bool, len(pairs))
+		for rank, p := range pairs {
 			var key string
 			if caching {
-				key = resultKey(s.fingerprint, region, q)
+				key = resultKey(s.fingerprint, p.Ref, p.Query)
 				if res, ok := s.cache.Get(key); ok {
 					s.metrics.cacheHits.Add(1)
-					out[i].mals[rank].Result = res
+					mals[rank].Result = res
 					out[i].cached[rank] = true
 					continue
 				}
 				s.metrics.cacheMisses.Add(1)
 			}
-			missPairs = append(missPairs, genasm.Pair{Query: q, Ref: region})
+			missPairs = append(missPairs, p)
 			missSlots = append(missSlots, slot{read: i, aln: rank})
 			missKeys = append(missKeys, key)
 		}
@@ -659,13 +635,9 @@ func (s *Server) streamMapAlign(w http.ResponseWriter, r *http.Request, ref *Ref
 			return
 		}
 		emitStart := time.Now()
-		for i, ar := range aligned {
+		for _, ar := range aligned {
 			if ar.err != nil {
 				readErrs++
-				continue
-			}
-			if ar.unmapped {
-				_ = sw.Write(sref, unmappedAlignment(chunk[i]))
 				continue
 			}
 			for _, m := range ar.mals {
@@ -882,15 +854,6 @@ func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 func samProgram(format samfmt.Format) samfmt.Program {
 	return samfmt.Program{
 		Name: "genasm-serve", CommandLine: "POST /map-align?format=" + string(format),
-	}
-}
-
-// unmappedAlignment wraps one request read as an unmapped emission for
-// the SAM writer (FLAG 4; PAF drops it).
-func unmappedAlignment(rd ReadIn) genasm.MappedAlignment {
-	return genasm.MappedAlignment{
-		Read:     genasm.Read{Name: rd.Name, Seq: []byte(rd.Seq), Qual: []byte(rd.Qual)},
-		Unmapped: true,
 	}
 }
 

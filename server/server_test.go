@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"genasm"
+	"genasm/internal/samfmt"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -382,6 +383,67 @@ func TestMapAlignEndToEnd(t *testing.T) {
 	}
 	if nAll < nBest {
 		t.Fatalf("all-candidates alignments %d < best-only %d", nAll, nBest)
+	}
+
+	// Planner parity: every served rank is exactly the library's
+	// all-candidates MapAlign emission, and the streamed SAM records are
+	// byte-identical to samfmt over the library stream (MAPQ included,
+	// which depends on Candidates/SecondaryScore the JSON does not carry).
+	allEng, err := genasm.NewEngine(genasm.WithMapper(reg.Mapper()), genasm.WithAllCandidates(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allOut, err := allEng.MapAlign(context.Background(), genasm.StreamReads(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sref := samfmt.Ref{Name: reg.Name, Length: reg.Length}
+	byRead := make([][]genasm.MappedAlignment, len(in))
+	var wantSAM []string
+	for m := range allOut {
+		if m.Err != nil {
+			t.Fatal(m.Err)
+		}
+		byRead[m.ReadIndex] = append(byRead[m.ReadIndex], m)
+		line, err := samfmt.SAMRecord(sref, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSAM = append(wantSAM, line)
+	}
+	for i, got := range all.Results {
+		lib := byRead[i]
+		if lib[0].Unmapped {
+			if !got.Unmapped || len(got.Alignments) != 0 {
+				t.Fatalf("read %s: served %+v, library unmapped", got.Read, got)
+			}
+			continue
+		}
+		if len(got.Alignments) != len(lib) {
+			t.Fatalf("read %s: %d served ranks != %d library ranks", got.Read, len(got.Alignments), len(lib))
+		}
+		for r, a := range got.Alignments {
+			w := lib[r]
+			c := genasm.CandidateRegion{Start: a.RefStart, End: a.RefEnd, RevComp: a.RevComp, Score: a.ChainScore}
+			res := genasm.Result{Distance: a.Distance, Score: a.Score, Cigar: a.Cigar, RefConsumed: a.RefConsumed}
+			if a.Rank != w.Rank || c != w.Candidate || res != w.Result {
+				t.Fatalf("read %s rank %d: served %+v != library %+v", got.Read, r, a, w)
+			}
+		}
+	}
+	status, sam, trailer, _ := streamMapAlignBody(t, ts, ts.URL+"/map-align?format=sam", maReq)
+	if status != http.StatusOK || trailer.Get(TrailerStatus) != "ok" {
+		t.Fatalf("sam status %d trailer %q", status, trailer.Get(TrailerStatus))
+	}
+	var gotSAM []string
+	for _, line := range strings.Split(strings.TrimSuffix(sam, "\n"), "\n") {
+		if !strings.HasPrefix(line, "@") {
+			gotSAM = append(gotSAM, line)
+		}
+	}
+	if strings.Join(gotSAM, "\n") != strings.Join(wantSAM, "\n") {
+		t.Fatalf("served SAM records differ from samfmt over the library stream:\n%s\n---\n%s",
+			strings.Join(gotSAM, "\n"), strings.Join(wantSAM, "\n"))
 	}
 }
 

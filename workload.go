@@ -123,6 +123,46 @@ func (m *Mapper) Candidates(read []byte) []CandidateRegion {
 	return out
 }
 
+// Plan turns one read into its map-then-align work: the read's
+// emissions (ReadIndex idx, candidate, rank, candidate count and
+// runner-up chain score; Result unset) and, index-aligned with them, the
+// pairs to align. Only the best candidate is planned unless all is set.
+// A read with no candidate location yields one Unmapped emission and no
+// pairs. Reverse-strand candidates pair the reverse-complemented read
+// with the forward reference region, so CIGARs stay in forward-reference
+// orientation.
+func (m *Mapper) Plan(idx int, rd Read, all bool) ([]MappedAlignment, []Pair) {
+	base := MappedAlignment{ReadIndex: idx, Read: rd}
+	cands := m.Candidates(rd.Seq)
+	if len(cands) == 0 {
+		base.Unmapped = true
+		return []MappedAlignment{base}, nil
+	}
+	base.Candidates = len(cands)
+	if len(cands) > 1 {
+		base.SecondaryScore = cands[1].Score
+	}
+	if !all {
+		cands = cands[:1]
+	}
+	var rc []byte // lazily computed reverse complement
+	mals := make([]MappedAlignment, len(cands))
+	pairs := make([]Pair, len(cands))
+	for i, c := range cands {
+		q := rd.Seq
+		if c.RevComp {
+			if rc == nil {
+				rc = ReverseComplement(rd.Seq)
+			}
+			q = rc
+		}
+		mals[i] = base
+		mals[i].Candidate, mals[i].Rank = c, i
+		pairs[i] = Pair{Query: q, Ref: m.Region(c)}
+	}
+	return mals, pairs
+}
+
 // ReverseComplement returns the reverse complement of a raw ASCII
 // sequence.
 func ReverseComplement(seq []byte) []byte {
