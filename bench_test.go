@@ -470,10 +470,7 @@ func benchSchedulerSubmit(b *testing.B, pairs []genasm.Pair) *server.Scheduler {
 func BenchmarkSchedulerCoalesce(b *testing.B) {
 	w := benchWorkload(b)
 	s := benchSchedulerSubmit(b, w.PublicPairs())
-	snap := s.Metrics().Snapshot()
-	if mean, ok := snap["batch_size_mean"].(float64); ok {
-		b.ReportMetric(mean, "pairs/batch")
-	}
+	b.ReportMetric(s.Metrics().Scrape().BatchSizeMean(), "pairs/batch")
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "alignments/s")
 }
 

@@ -189,7 +189,7 @@ func printResult(out io.Writer, r *loadgen.Result) {
 	}
 	if d := r.ServerDelta; d != nil {
 		fmt.Fprintf(out, "          server: %d requests, %d pairs done, %d rejected, %d cache hits, %d batches (mean %.1f pairs)\n",
-			d.RequestsTotal, d.PairsDoneTotal, d.RejectedTotal, d.CacheHitsTotal, d.BatchesTotal, d.BatchSizeMean)
+			d.RequestsTotal, d.PairsDoneTotal, d.RejectedTotal, d.CacheHitsTotal, d.BatchSizePairs.Count, d.BatchSizeMean())
 	}
 	if r.LastError != "" {
 		fmt.Fprintf(out, "          last error: %s\n", r.LastError)

@@ -267,7 +267,7 @@ func TestRunObservabilitySmoke(t *testing.T) {
 	}
 
 	// JSON metrics (the default format) still decode and include the
-	// histogram-derived percentile keys.
+	// stage latency histograms.
 	code, _, data := get(base + "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics json: %d %s", code, data)
@@ -276,7 +276,7 @@ func TestRunObservabilitySmoke(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatalf("metrics json: %v in %s", err, data)
 	}
-	for _, key := range []string{"requests_total", "latency_ms_p99", "queue_wait_ms_p99", "backend_exec_ms_p99"} {
+	for _, key := range []string{"requests_total", "e2e_latency_seconds", "queue_wait_seconds", "backend_exec_seconds"} {
 		if _, ok := snap[key]; !ok {
 			t.Fatalf("metrics json lacks %q: %s", key, data)
 		}

@@ -10,7 +10,7 @@ import (
 // an alignment should allocate only the result cigar — never automaton
 // rows, masks, or table entries. These tests pin measured upper bounds;
 // a regression here means a scratch-reuse path was broken (for example
-// an ensureV call replaced by a fresh bitvec.New, or table rows no
+// an ensure call replaced by a fresh make, or table rows no
 // longer recycled across windows).
 //
 // The bounds are upper limits with ~50% headroom over measured values

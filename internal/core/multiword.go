@@ -3,45 +3,70 @@ package core
 import (
 	"fmt"
 
-	"genasm/internal/bitvec"
 	"genasm/internal/cigar"
 	"genasm/internal/dna"
 )
 
 // Multi-word window path: the same improved GenASM algorithm for windows
-// wider than one machine word (64 < W). The automaton rows span
-// bitvec.Words(m) uint64s; the structure of the distance calculation, early
-// termination and traceback is identical to the single-word fast path in
-// dc64.go, and both paths share the flat stored-table layout in table.go.
+// wider than one machine word (64 < W). An m-bit automaton state is a
+// little-endian []uint64 of words(m) words (bit j in word j/64), with the
+// bits above m in the last word kept clear; the structure of the distance
+// calculation, early termination and traceback is identical to the
+// single-word fast path in dc64.go, and both paths share the flat
+// stored-table layout in table.go.
 //
 // DENT here is real at the storage level: when the (2k+3)-bit diagonal band
 // needs fewer words than the full automaton state, only the band words are
 // extracted (extract64) and stored per entry, so the stored working set
-// shrinks from wpe = Words(m) words per entry to ceil((2k+3)/64) — one word
+// shrinks from wpe = words(m) words per entry to ceil((2k+3)/64) — one word
 // for every default-band configuration. The traceback indexes into the band
 // through table.entryBit's packed path.
 
+// words returns the number of uint64 words holding an m-bit state.
+func words(m int) int { return (m + 63) / 64 }
+
+// topMask returns the valid-bit mask of an m-bit state's last word.
+func topMask(m int) uint64 { return ^uint64(0) >> uint(64*words(m)-m) }
+
+// fillOnes sets every bit of the m-bit state v.
+func fillOnes(v []uint64, m int) {
+	for i := range v {
+		v[i] = ^uint64(0)
+	}
+	v[len(v)-1] = topMask(m)
+}
+
+// bit returns bit j of state v.
+func bit(v []uint64, j int) uint64 { return v[j>>6] >> uint(j&63) & 1 }
+
+// shl1 sets the m-bit state dst to src << 1, shifting in a zero and
+// dropping the bit shifted past m. dst and src may alias.
+func shl1(dst, src []uint64, m int) {
+	var c uint64
+	for i, x := range src {
+		dst[i] = x<<1 | c
+		c = x >> 63
+	}
+	dst[len(dst)-1] &= topMask(m)
+}
+
 type masksMW struct {
-	pm [dna.Alphabet]bitvec.V
+	pm [dna.Alphabet][]uint64
 	m  int
 }
 
-// ensureV makes *v a width-m vector, reusing its backing words whenever
+// ensure makes *v an m-bit state, reusing its backing words whenever
 // their capacity suffices (the final partial window of every alignment
-// has a smaller m, so an equality check alone would rebuild all scratch
-// twice per Align call). The resized vector's bits are unspecified;
-// every caller fully overwrites it before reading.
-func ensureV(v *bitvec.V, m int) {
-	words := bitvec.Words(m)
-	if v.Width == m && len(v.W) == words {
+// has a smaller m, so rebuilding on every size change would reallocate
+// all scratch twice per Align call). The resized state's bits are
+// unspecified; every caller fully overwrites it before reading.
+func ensure(v *[]uint64, m int) {
+	n := words(m)
+	if cap(*v) >= n {
+		*v = (*v)[:n]
 		return
 	}
-	if cap(v.W) >= words {
-		v.Width = m
-		v.W = v.W[:words]
-		return
-	}
-	*v = bitvec.New(m)
+	*v = make([]uint64, n)
 }
 
 // buildInto (re)builds the pattern masks for pRev in place.
@@ -49,22 +74,22 @@ func (mk *masksMW) buildInto(pRev []byte) {
 	m := len(pRev)
 	mk.m = m
 	for c := 0; c < dna.Alphabet; c++ {
-		ensureV(&mk.pm[c], m)
-		mk.pm[c].Fill(true)
+		ensure(&mk.pm[c], m)
+		fillOnes(mk.pm[c], m)
 	}
 	for j, pc := range pRev {
 		if pc != dna.N {
-			mk.pm[pc].SetBit(j, 0)
+			mk.pm[pc][j>>6] &^= 1 << uint(j&63)
 		}
 	}
 }
 
 // initRowInto writes the error-level-d initial automaton state into v
-// (v must already have width mk.m).
-func (mk *masksMW) initRowInto(v bitvec.V, d int) {
-	v.Fill(true)
+// (v must already be an mk.m-bit state).
+func (mk *masksMW) initRowInto(v []uint64, d int) {
+	fillOnes(v, mk.m)
 	for j := 0; j < d && j < mk.m; j++ {
-		v.SetBit(j, 0)
+		v[j>>6] &^= 1 << uint(j&63)
 	}
 }
 
@@ -73,18 +98,18 @@ func (mk *masksMW) initRowInto(v bitvec.V, d int) {
 // only what the traceback may read, which in banded mode is narrower than
 // the recurrence needs) and the edge-mode temporaries.
 type mwScratch struct {
-	rowPrev, rowCur []bitvec.V
-	tM, tS, tD, tI  bitvec.V
+	rowPrev, rowCur [][]uint64
+	tM, tS, tD, tI  []uint64
 	mk              masksMW // pattern masks, rebuilt in place per window
 }
 
 func (s *mwScratch) prepare(m, n int) {
 	need := n + 1
 	if cap(s.rowPrev) < need {
-		grown := make([]bitvec.V, need)
+		grown := make([][]uint64, need)
 		copy(grown, s.rowPrev)
 		s.rowPrev = grown
-		grown = make([]bitvec.V, need)
+		grown = make([][]uint64, need)
 		copy(grown, s.rowCur)
 		s.rowCur = grown
 	} else {
@@ -92,13 +117,13 @@ func (s *mwScratch) prepare(m, n int) {
 		s.rowCur = s.rowCur[:need]
 	}
 	for i := 0; i < need; i++ {
-		ensureV(&s.rowPrev[i], m)
-		ensureV(&s.rowCur[i], m)
+		ensure(&s.rowPrev[i], m)
+		ensure(&s.rowCur[i], m)
 	}
-	ensureV(&s.tM, m)
-	ensureV(&s.tS, m)
-	ensureV(&s.tD, m)
-	ensureV(&s.tI, m)
+	ensure(&s.tM, m)
+	ensure(&s.tS, m)
+	ensure(&s.tD, m)
+	ensure(&s.tI, m)
 }
 
 // alignWindowMW aligns the reversed window buffers of w at error budget k.
@@ -107,7 +132,7 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 	mk := &w.mw.mk
 	m, n := mk.m, len(w.tRevBuf)
 	cfg := w.cfg
-	wpe := bitvec.Words(m)
+	wpe, top := words(m), topMask(m)
 	t := &w.ts.tbl
 	*t = table{
 		m: m, n: n, k: k,
@@ -144,9 +169,9 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 			// computes M & S & D & I with the shift carries propagated
 			// in registers, instead of four temporary-vector passes.
 			for i := 1; i <= n; i++ {
-				pmw := mk.pm[w.tRevBuf[i-1]].W
-				prevW := rowCur[i-1].W
-				curW := rowCur[i].W
+				pmw := mk.pm[w.tRevBuf[i-1]]
+				prevW := rowCur[i-1]
+				curW := rowCur[i]
 				if d == 0 {
 					var cp uint64
 					for wi := range curW {
@@ -155,8 +180,8 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 						cp = pw >> 63
 					}
 				} else {
-					upW := rowPrev[i-1].W
-					urW := rowPrev[i].W
+					upW := rowPrev[i-1]
+					urW := rowPrev[i]
 					var cp, cu, cr uint64
 					for wi := range curW {
 						pw, uw, rw := prevW[wi], upW[wi], urW[wi]
@@ -164,7 +189,7 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 						cp, cu, cr = pw>>63, uw>>63, rw>>63
 					}
 				}
-				rowCur[i].Normalize()
+				curW[wpe-1] &= top
 				dst := drow[(i-1)*t.stride : i*t.stride]
 				if t.packed {
 					lo := t.bandLo(i)
@@ -182,28 +207,34 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 			}
 			w.counters.AddFootprint(uint64(n) * entryBits)
 		} else {
+			tM, tS, tD, tI := w.mw.tM, w.mw.tS, w.mw.tD, w.mw.tI
 			for i := 1; i <= n; i++ {
 				pmt := mk.pm[w.tRevBuf[i-1]]
-				w.mw.tM.Shl1(rowCur[i-1], 0)
-				w.mw.tM.Or(w.mw.tM, pmt)
+				shl1(tM, rowCur[i-1], m)
+				for x := range tM {
+					tM[x] |= pmt[x]
+				}
 				if d == 0 {
-					rowCur[i].Copy(w.mw.tM)
+					copy(rowCur[i], tM)
 				} else {
-					w.mw.tS.Shl1(rowPrev[i-1], 0)
-					w.mw.tD.Shl1(rowPrev[i], 0)
-					w.mw.tI.Copy(rowPrev[i-1])
-					rowCur[i].And4(w.mw.tM, w.mw.tS, w.mw.tD, w.mw.tI)
+					shl1(tS, rowPrev[i-1], m)
+					shl1(tD, rowPrev[i], m)
+					copy(tI, rowPrev[i-1])
+					cur := rowCur[i]
+					for x := range cur {
+						cur[x] = tM[x] & tS[x] & tD[x] & tI[x]
+					}
 				}
 				e := drow[4*(i-1)*wpe : (4*(i-1)+4)*wpe]
-				copy(e[edgeM*wpe:(edgeM+1)*wpe], w.mw.tM.W)
+				copy(e[edgeM*wpe:(edgeM+1)*wpe], tM)
 				if d == 0 {
 					for x := wpe; x < 4*wpe; x++ {
 						e[x] = ^uint64(0)
 					}
 				} else {
-					copy(e[edgeS*wpe:(edgeS+1)*wpe], w.mw.tS.W)
-					copy(e[edgeD*wpe:(edgeD+1)*wpe], w.mw.tD.W)
-					copy(e[edgeI*wpe:(edgeI+1)*wpe], w.mw.tI.W)
+					copy(e[edgeS*wpe:(edgeS+1)*wpe], tS)
+					copy(e[edgeD*wpe:(edgeD+1)*wpe], tD)
+					copy(e[edgeI*wpe:(edgeI+1)*wpe], tI)
 				}
 			}
 			w.counters.AddWrite(uint64(4*n*wpe), 8)
@@ -211,7 +242,7 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 		}
 		//lint:allow hotalloc appends into the scratch-backed rows slice; amortized to zero across windows
 		t.rows = append(t.rows, drow)
-		if solved < 0 && rowCur[n].Bit(m-1) == 0 {
+		if solved < 0 && bit(rowCur[n], m-1) == 0 {
 			solved = d
 			if !cfg.DisableET {
 				w.counters.AddRows(uint64(d+1), uint64(k-d))
@@ -237,10 +268,10 @@ func (w *windowAligner) tracebackMW(t *table, mk *masksMW, dStar int) (cigar.Cig
 	c := w.counters
 	for j >= 0 {
 		if t.entries {
-			if i >= 1 && mk.pm[w.tRevBuf[i-1]].Bit(j) == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
+			if i >= 1 && bit(mk.pm[w.tRevBuf[i-1]], j) == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
 				run := 1
 				i, j = i-1, j-1
-				for i >= 1 && j >= 0 && mk.pm[w.tRevBuf[i-1]].Bit(j) == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
+				for i >= 1 && j >= 0 && bit(mk.pm[w.tRevBuf[i-1]], j) == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
 					run++
 					i, j = i-1, j-1
 				}

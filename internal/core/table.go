@@ -29,7 +29,7 @@ type table struct {
 	banded  bool // DENT: reads outside the (2k+3)-bit diagonal band answer inactive
 	packed  bool // banded storage physically holds band words (bandWords < wpe)
 	bandB   int  // band width in bits when banded
-	wpe     int  // words per full automaton state: bitvec.Words(m), 1 for m <= 64
+	wpe     int  // words per full automaton state: words(m), 1 for m <= 64
 	stride  int  // stored words per entry (entries mode) or 4*wpe (edge mode)
 	// storeBytes is the size of one stored entry as packed in memory:
 	// banded entries round the band up to whole bytes, full entries are

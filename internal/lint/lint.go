@@ -197,7 +197,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // steady-state allocation behaviour of these packages).
 var HotPathPackages = []string{
 	"genasm/internal/core",
-	"genasm/internal/bitvec",
 	"genasm/internal/dna",
 }
 

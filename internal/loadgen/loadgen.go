@@ -104,8 +104,8 @@ type Result struct {
 	StatusCounts   map[int]int `json:"status_counts"`
 	LastError      string      `json:"last_error,omitempty"`
 
-	// ServerDelta is the /metrics JSON snapshot movement across the
-	// measure phase (nil when scraping failed).
+	// ServerDelta is the /metrics JSON movement across the measure
+	// phase (nil when scraping failed).
 	ServerDelta *server.Scrape `json:"server_delta,omitempty"`
 }
 
@@ -352,8 +352,7 @@ func uploadRef(ctx context.Context, cfg Config, plan *Plan) error {
 	return nil
 }
 
-// Scrape fetches the server's /metrics JSON snapshot into the typed
-// client view.
+// Scrape fetches the server's /metrics JSON into the typed client view.
 func Scrape(ctx context.Context, client *http.Client, baseURL string) (server.Scrape, error) {
 	var s server.Scrape
 	req, err := http.NewRequestWithContext(ctx, "GET", baseURL+"/metrics", nil)

@@ -22,11 +22,12 @@
 //     registration (snake_case, counters end in _total) — the same
 //     contract the metricname lint analyzer enforces statically.
 //
-//   - Prometheus exposition (prom.go): WritePrometheus renders the
-//     registry in the text exposition format (# HELP/# TYPE, cumulative
-//     _bucket series ending in le="+Inf", _sum/_count), and
-//     CheckExposition is a strict parser of that format used by tests
-//     and CI smoke checks to fail on violations.
+//   - Exposition (prom.go): WritePrometheus renders the registry in the
+//     Prometheus text exposition format (# HELP/# TYPE, cumulative
+//     _bucket series ending in le="+Inf", _sum/_count), WriteJSON
+//     renders the same registry as one flat JSON object, and
+//     CheckExposition is a strict parser of the text format used by
+//     tests and CI smoke checks to fail on violations.
 //
 //   - Logging (log.go): log/slog construction helpers (text or JSON
 //     handler at a named level) and the build information surfaced in

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -50,6 +51,70 @@ func writeHistogram(w io.Writer, m *metric, labels []Attr) {
 		m.name, renderLabels(labels, String("le", "+Inf")), cum[len(cum)-1])
 	fmt.Fprintf(w, "%s_sum%s %s\n", m.name, renderLabels(labels), formatValue(m.hist.Sum()))
 	fmt.Fprintf(w, "%s_count%s %d\n", m.name, renderLabels(labels), cum[len(cum)-1])
+}
+
+// WriteJSON renders the same registry as WritePrometheus as one flat
+// JSON object: each const label is a string field, each counter or gauge
+// a number keyed by its name without the "genasm_" prefix, and each
+// histogram an object {count, sum, p50, p90, p99, buckets} whose
+// quantiles are in the metric's own unit and whose buckets are
+// cumulative, keyed by upper bound and ending in "+Inf". Like
+// json.Marshal, it fails on a NaN or infinite value.
+func WriteJSON(w io.Writer, r *Registry) error {
+	metrics, labels := r.snapshot()
+	obj := make(map[string]any, len(labels)+len(metrics))
+	for _, a := range labels {
+		obj[a.Key] = a.Value
+	}
+	for _, m := range metrics {
+		key := strings.TrimPrefix(m.name, "genasm_")
+		if m.kind != KindHistogram {
+			obj[key] = m.value()
+			continue
+		}
+		h, cum := m.hist, m.hist.Cumulative()
+		obj[key] = jsonHistogram{
+			Count: cum[len(cum)-1], Sum: h.Sum(),
+			P50: h.Quantile(0.50), P90: h.Quantile(0.90), P99: h.Quantile(0.99),
+			Buckets: jsonBuckets{bounds: h.bounds, cum: cum},
+		}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	return enc.Encode(obj)
+}
+
+type jsonHistogram struct {
+	Count   uint64      `json:"count"`
+	Sum     float64     `json:"sum"`
+	P50     float64     `json:"p50"`
+	P90     float64     `json:"p90"`
+	P99     float64     `json:"p99"`
+	Buckets jsonBuckets `json:"buckets"`
+}
+
+// jsonBuckets marshals cumulative bucket counts as an object keyed by
+// upper bound in bound order (a Go map would sort "+Inf" first).
+type jsonBuckets struct {
+	bounds []float64
+	cum    []uint64 // len(bounds)+1; last is the +Inf bucket
+}
+
+func (b jsonBuckets) MarshalJSON() ([]byte, error) {
+	out := []byte{'{'}
+	for i, c := range b.cum {
+		le := "+Inf"
+		if i < len(b.bounds) {
+			le = formatValue(b.bounds[i])
+		}
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = strconv.AppendQuote(out, le)
+		out = append(out, ':')
+		out = strconv.AppendUint(out, c, 10)
+	}
+	return append(out, '}'), nil
 }
 
 // renderLabels renders {k="v",...} (empty string for no labels).

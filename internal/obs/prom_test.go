@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -50,6 +52,77 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	iR := strings.Index(out, "genasm_requests_total")
 	if !(iH < iQ && iQ < iR) {
 		t.Errorf("families not sorted: hist@%d queue@%d reqs@%d", iH, iQ, iR)
+	}
+}
+
+// TestWriteJSONMatchesPrometheus: both renderings of one registry agree.
+// Every JSON scalar equals its exposition sample; every histogram's
+// count, sum and buckets equal its _count, _sum and _bucket samples; and
+// no JSON key lacks a sample.
+func TestWriteJSONMatchesPrometheus(t *testing.T) {
+	r := buildTestRegistry()
+	var prom, js bytes.Buffer
+	if err := WritePrometheus(&prom, r); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSON(&js, r); err != nil {
+		t.Fatal(err)
+	}
+	var obj map[string]any
+	if err := json.Unmarshal(js.Bytes(), &obj); err != nil {
+		t.Fatalf("%v in %s", err, js.String())
+	}
+	if obj["backend"] != "cpu" {
+		t.Errorf("const label backend = %v, want \"cpu\"", obj["backend"])
+	}
+	seen := map[string]bool{"backend": true}
+	for _, line := range strings.Split(prom.String(), "\n") {
+		m := sampleRe.FindStringSubmatch(line)
+		if m == nil {
+			continue // comment or blank
+		}
+		key, labels := strings.TrimPrefix(m[1], "genasm_"), m[2]
+		want, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		if v, ok := obj[key]; ok {
+			seen[key] = true
+			if v != want {
+				t.Errorf("%s: json %v, exposition %v", key, v, want)
+			}
+			continue
+		}
+		var got any
+		for suffix, field := range map[string]string{"_bucket": "buckets", "_sum": "sum", "_count": "count"} {
+			base := strings.TrimSuffix(key, suffix)
+			h, ok := obj[base].(map[string]any)
+			if base == key || !ok {
+				continue
+			}
+			seen[base] = true
+			got = h[field]
+			if suffix == "_bucket" {
+				got = h[field].(map[string]any)[leRe.FindStringSubmatch(labels)[1]]
+			}
+		}
+		if got != want {
+			t.Errorf("%s: json %v, exposition %v", line, got, want)
+		}
+	}
+	for k := range obj {
+		if !seen[k] {
+			t.Errorf("json key %q has no exposition sample", k)
+		}
+	}
+
+	// Quantiles are in the metric's own unit, and buckets keep bound order.
+	h := obj["e2e_latency_seconds"].(map[string]any)
+	if want := r.byName["genasm_e2e_latency_seconds"].hist.Quantile(0.5); h["p50"] != want {
+		t.Errorf("p50 = %v, want %v", h["p50"], want)
+	}
+	if !strings.Contains(js.String(), `"buckets":{"0.001":1,"0.01":2,"0.1":3,"1":4,"+Inf":5}`) {
+		t.Errorf("buckets not cumulative in bound order: %s", js.String())
 	}
 }
 

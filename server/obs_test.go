@@ -86,8 +86,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		})
 	}
 
-	// The JSON default still decodes and carries the histogram-derived
-	// percentile keys; an unknown format is a 400, not a silent default.
+	// The JSON default still decodes and carries the stage histograms; an
+	// unknown format is a 400, not a silent default.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	for _, key := range []string{"latency_ms_p50", "queue_wait_ms_p90", "backend_exec_ms_p99", "batch_size_hist"} {
+	for _, key := range []string{"e2e_latency_seconds", "queue_wait_seconds", "backend_exec_seconds", "batch_size_pairs"} {
 		if _, ok := snap[key]; !ok {
 			t.Errorf("JSON snapshot lacks %q", key)
 		}
@@ -404,51 +404,54 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestSnapshotScrapeRoundTrip pins the Snapshot↔Scrape schema
-// agreement: every typed Scrape field unmarshals from the /metrics JSON
-// snapshot under its tag and carries the same value Metrics.Scrape()
-// reports, so the wire schema and its typed consumers (internal/loadgen,
-// cmd/genasm-loadgen) cannot drift apart unnoticed.
-func TestSnapshotScrapeRoundTrip(t *testing.T) {
+// TestScrapeTagsAreWriteJSONKeys pins the Scrape↔WriteJSON schema
+// agreement: every typed Scrape field's tag is a key of the /metrics
+// JSON, so the wire schema and its typed consumers (internal/loadgen,
+// cmd/genasm-loadgen, the benchmark) cannot drift apart unnoticed.
+func TestScrapeTagsAreWriteJSONKeys(t *testing.T) {
 	srv, ts := newTestServer(t, Config{CacheSize: -1})
 	alignOnce(t, ts, 95)
 
-	snap := srv.Metrics().Snapshot()
+	var buf bytes.Buffer
+	if err := obs.WriteJSON(&buf, srv.Metrics().reg); err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
 	rt := reflect.TypeOf(Scrape{})
 	for i := 0; i < rt.NumField(); i++ {
 		tag := strings.Split(rt.Field(i).Tag.Get("json"), ",")[0]
 		if _, ok := snap[tag]; !ok {
-			t.Errorf("Scrape field %s has no %q key in Snapshot()", rt.Field(i).Name, tag)
+			t.Errorf("Scrape field %s has no %q key in WriteJSON output", rt.Field(i).Name, tag)
 		}
 	}
-
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Scrape
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	want := srv.Metrics().Scrape()
-	if got != want {
-		t.Fatalf("snapshot round-trip diverged:\n got %+v\nwant %+v", got, want)
-	}
-	if got.RequestsTotal == 0 || got.PairsDoneTotal == 0 {
+	got := srv.Metrics().Scrape()
+	if got.RequestsTotal == 0 || got.PairsDoneTotal == 0 || got.BatchSizePairs.Count == 0 {
 		t.Fatalf("counters did not move: %+v", got)
 	}
 }
 
-// TestScrapeSub: counters subtract, point-in-time fields keep the newer
+// TestScrapeSub: counters and histogram totals subtract, so the batch
+// mean of a delta is the window's mean; queue depth keeps the newer
 // value.
 func TestScrapeSub(t *testing.T) {
-	prev := Scrape{RequestsTotal: 10, PairsDoneTotal: 5, CacheHitsTotal: 2, QueueDepth: 7, LatencyMSP50: 3, BatchSizeMean: 4}
-	next := Scrape{RequestsTotal: 25, PairsDoneTotal: 11, CacheHitsTotal: 2, QueueDepth: 1, LatencyMSP50: 9, BatchSizeMean: 6}
+	prev := Scrape{RequestsTotal: 10, PairsDoneTotal: 5, CacheHitsTotal: 2, QueueDepth: 7,
+		BatchSizePairs: HistogramTotals{Count: 2, Sum: 8}}
+	next := Scrape{RequestsTotal: 25, PairsDoneTotal: 11, CacheHitsTotal: 2, QueueDepth: 1,
+		BatchSizePairs: HistogramTotals{Count: 5, Sum: 26}}
 	d := next.Sub(prev)
 	if d.RequestsTotal != 15 || d.PairsDoneTotal != 6 || d.CacheHitsTotal != 0 {
 		t.Fatalf("counter deltas wrong: %+v", d)
 	}
-	if d.QueueDepth != 1 || d.LatencyMSP50 != 9 || d.BatchSizeMean != 6 {
-		t.Fatalf("point-in-time fields must keep the newer value: %+v", d)
+	if d.QueueDepth != 1 {
+		t.Fatalf("queue depth must keep the newer value: %+v", d)
+	}
+	if got := d.BatchSizeMean(); got != 6 {
+		t.Fatalf("window batch mean = %g, want 6 (18 pairs over 3 batches)", got)
+	}
+	if got := next.BatchSizeMean(); got != 5.2 {
+		t.Fatalf("lifetime batch mean = %g, want 5.2", got)
 	}
 }

@@ -166,7 +166,7 @@ func newProxy(cfg ProxyConfig, m *Metrics, log *slog.Logger) (*Proxy, error) {
 		up.healthy.Store(true) // optimistic: first probe round corrects
 		ups = append(ups, up)
 	}
-	reg := m.Registry()
+	reg := m.reg
 	p := &Proxy{
 		cfg:      cfg,
 		ups:      ups,
@@ -624,16 +624,4 @@ func (s *Server) handleProxyHealthz(w http.ResponseWriter, r *http.Request) {
 		"cluster":        cs,
 		"jobs":           map[string]any{"enabled": false},
 	})
-}
-
-// addClusterMetrics folds the front tier's counters into a /metrics
-// JSON snapshot as cluster_* fields (present only in proxy mode).
-func addClusterMetrics(snap map[string]any, p *Proxy) {
-	snap["cluster_proxied_total"] = p.proxied.Load()
-	snap["cluster_failovers_total"] = p.failovers.Load()
-	snap["cluster_upstream_errors_total"] = p.upstreamErrs.Load()
-	snap["cluster_ejections_total"] = p.ejections.Load()
-	snap["cluster_readmissions_total"] = p.readmissions.Load()
-	snap["cluster_upstreams"] = len(p.ups)
-	snap["cluster_upstreams_healthy"] = p.healthyCount()
 }

@@ -81,7 +81,7 @@ func TestSchedulerCoalesces64Singles(t *testing.T) {
 			t.Fatalf("pair %d: scheduler %+v != direct %+v", i, got[i], want[i])
 		}
 	}
-	batches := s.Metrics().batches.Load()
+	batches := s.Metrics().batchSize.Count()
 	if batches > 8 {
 		t.Fatalf("64 single-pair submissions ran as %d batches, want <= 8", batches)
 	}
@@ -109,7 +109,7 @@ func TestSchedulerDeadlineFlush(t *testing.T) {
 	if waited := time.Since(begin); waited > 5*time.Second {
 		t.Fatalf("deadline flush took %v", waited)
 	}
-	if n := s.Metrics().batches.Load(); n != 1 {
+	if n := s.Metrics().batchSize.Count(); n != 1 {
 		t.Fatalf("batches = %d, want 1", n)
 	}
 }
@@ -245,7 +245,7 @@ func TestSchedulerContextCancel(t *testing.T) {
 	}
 	// The abandoned pair still executes (deadline flush).
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Metrics().batches.Load() == 0 {
+	for s.Metrics().batchSize.Count() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("abandoned batch never executed")
 		}

@@ -217,11 +217,10 @@ func (s *Server) routes() {
 }
 
 // registerScrapeMetrics hangs metrics owned by other subsystems (cache,
-// engine backend, jobs lane) onto the Prometheus exposition as
-// scrape-time functions, so both /metrics representations draw from the
-// same sources.
+// engine backend, jobs lane) onto the metrics registry as scrape-time
+// functions, so both /metrics renderings include them.
 func (s *Server) registerScrapeMetrics() {
-	reg := s.metrics.Registry()
+	reg := s.metrics.reg
 	reg.GaugeFunc("genasm_cache_entries", "Result-cache entries resident.",
 		func() float64 { return float64(s.cache.Len()) })
 	reg.GaugeFunc("genasm_cache_capacity", "Result-cache capacity in entries.",
@@ -772,10 +771,10 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics answers GET /metrics in one of two representations:
-// the flat JSON snapshot (default) or the Prometheus text exposition
-// format, selected by ?format=prometheus (which wins) or an Accept
-// header naming text/plain or OpenMetrics.
+// handleMetrics answers GET /metrics with one of two renderings of the
+// metrics registry: flat JSON (default) or the Prometheus text
+// exposition format, selected by ?format=prometheus (which wins) or an
+// Accept header naming text/plain or OpenMetrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	format := r.URL.Query().Get("format")
 	if format == "" {
@@ -784,41 +783,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			format = "prometheus"
 		}
 	}
+	// A write error means the client went away; there is no one to tell.
 	switch format {
 	case "", "json":
+		w.Header().Set("Content-Type", "application/json")
+		_ = obs.WriteJSON(w, s.metrics.reg)
 	case "prometheus":
 		w.Header().Set("Content-Type", obs.ExpositionContentType)
-		_ = s.metrics.WritePrometheus(w)
-		return
+		_ = obs.WritePrometheus(w, s.metrics.reg)
 	default:
 		httpError(w, http.StatusBadRequest, "unknown format %q (want json or prometheus)", format)
-		return
 	}
-	snap := s.metrics.Snapshot()
-	snap["cache_size"] = s.cache.Len()
-	snap["cache_capacity"] = s.cache.Cap()
-	if s.eng != nil {
-		// The engine backend's own counters ride along: generic batch/pair
-		// totals for any backend, shard totals and per-child breakdowns for
-		// composites, last device launch for device-backed ones.
-		bs := s.eng.BackendStats()
-		snap["backend_batches_total"] = bs.Batches
-		snap["backend_pairs_total"] = bs.Pairs
-		if bs.Shards > 0 || len(bs.Children) > 0 {
-			snap["backend_shards_total"] = bs.Shards
-			snap["backend_children"] = bs.Children
-		}
-		if bs.GPU != nil {
-			snap["backend_gpu_last_launch"] = bs.GPU
-		}
-	}
-	if s.proxy != nil {
-		addClusterMetrics(snap, s.proxy)
-	}
-	if s.jobs != nil {
-		addJobsMetrics(snap, s.jobs.Stats())
-	}
-	writeJSON(w, http.StatusOK, snap)
 }
 
 // handleBackends answers GET /backends: every backend name registered in

@@ -113,7 +113,7 @@ func TestAlignCoalescing64Requests(t *testing.T) {
 		}
 	}
 
-	batches := srv.Metrics().batches.Load()
+	batches := srv.Metrics().batchSize.Count()
 	if batches > 8 {
 		t.Fatalf("64 concurrent /align requests ran as %d batches, want <= 8", batches)
 	}
@@ -125,19 +125,22 @@ func TestAlignCoalescing64Requests(t *testing.T) {
 		t.Fatalf("/metrics status %d", status)
 	}
 	var snap struct {
-		Batches   int64            `json:"batches_total"`
-		PairsDone int64            `json:"pairs_done_total"`
-		Hist      map[string]int64 `json:"batch_size_hist"`
-		Backend   string           `json:"backend"`
+		PairsDone int64 `json:"pairs_done_total"`
+		Hist      struct {
+			Count   uint64            `json:"count"`
+			Sum     float64           `json:"sum"`
+			Buckets map[string]uint64 `json:"buckets"`
+		} `json:"batch_size_pairs"`
+		Backend string `json:"backend"`
 	}
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Batches != batches || snap.PairsDone != 64 {
-		t.Fatalf("metrics batches=%d pairs_done=%d", snap.Batches, snap.PairsDone)
+	if snap.Hist.Count != batches || snap.Hist.Sum != 64 || snap.PairsDone != 64 {
+		t.Fatalf("metrics batches=%d batch pairs=%g pairs_done=%d", snap.Hist.Count, snap.Hist.Sum, snap.PairsDone)
 	}
-	if snap.Hist["+Inf"] != batches {
-		t.Fatalf("histogram +Inf bucket %d, want %d batches", snap.Hist["+Inf"], batches)
+	if snap.Hist.Buckets["+Inf"] != batches {
+		t.Fatalf("histogram +Inf bucket %d, want %d batches", snap.Hist.Buckets["+Inf"], batches)
 	}
 	if snap.Backend != "cpu" {
 		t.Fatalf("backend %q", snap.Backend)
@@ -187,7 +190,7 @@ func TestHandlers(t *testing.T) {
 		{"refs get missing", "GET", "/refs/ghost", nil, "", 404, "not registered"},
 		{"refs delete missing", "DELETE", "/refs/ghost", nil, "", 404, "not registered"},
 		{"healthz", "GET", "/healthz", nil, "", 200, `"ok"`},
-		{"metrics", "GET", "/metrics", nil, "", 200, `"batch_size_hist"`},
+		{"metrics", "GET", "/metrics", nil, "", 200, `"batch_size_pairs"`},
 		{"unknown path", "GET", "/nope", nil, "", 404, ""},
 	}
 	for _, tc := range cases {
@@ -849,9 +852,9 @@ func TestServerOnMultiBackend(t *testing.T) {
 		t.Fatalf("/metrics status %d", status)
 	}
 	var snap struct {
-		Backend  string                `json:"backend"`
-		Batches  uint64                `json:"backend_batches_total"`
-		Children []genasm.BackendStats `json:"backend_children"`
+		Backend string `json:"backend"`
+		Batches uint64 `json:"backend_batches_total"`
+		Shards  uint64 `json:"backend_shards_total"`
 	}
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
@@ -859,8 +862,25 @@ func TestServerOnMultiBackend(t *testing.T) {
 	if snap.Backend != "multi(cpu,gpu)" {
 		t.Fatalf("metrics backend %q", snap.Backend)
 	}
-	if snap.Batches == 0 || len(snap.Children) != 2 {
-		t.Fatalf("backend metrics batches=%d children=%+v", snap.Batches, snap.Children)
+	if snap.Batches == 0 || snap.Shards == 0 {
+		t.Fatalf("backend metrics batches=%d shards=%d", snap.Batches, snap.Shards)
+	}
+
+	// The per-child breakdown is served by /backends.
+	status, body = doJSON(t, ts.Client(), "GET", ts.URL+"/backends", nil)
+	if status != http.StatusOK {
+		t.Fatalf("/backends status %d", status)
+	}
+	var bk struct {
+		Active struct {
+			Stats genasm.BackendStats `json:"stats"`
+		} `json:"active"`
+	}
+	if err := json.Unmarshal(body, &bk); err != nil {
+		t.Fatal(err)
+	}
+	if len(bk.Active.Stats.Children) != 2 {
+		t.Fatalf("backend children=%+v", bk.Active.Stats.Children)
 	}
 }
 
@@ -892,7 +912,7 @@ func TestSchedulerSizedFromCapabilities(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := s.Metrics().batches.Load(); got != 1 {
+	if got := s.Metrics().batchSize.Count(); got != 1 {
 		t.Fatalf("%d pairs ran as %d batches, want 1 size-triggered flush", want, got)
 	}
 }
@@ -1016,7 +1036,7 @@ func TestAdmissionEdgeCases(t *testing.T) {
 		if len(resp.Results) != len(pairs) {
 			t.Fatalf("%d results, want %d", len(resp.Results), len(pairs))
 		}
-		if batches := srv.Metrics().batches.Load(); batches < 2 {
+		if batches := srv.Metrics().batchSize.Count(); batches < 2 {
 			t.Fatalf("oversized submission ran as %d batches, want >= 2 (split)", batches)
 		}
 	})
