@@ -13,14 +13,6 @@ import (
 	"genasm/internal/gpualign"
 )
 
-// singlePairAligner is an optional fast path a Backend may implement:
-// the Engine's one-pair entry points (Align, single-candidate MapAlign
-// items) use it to skip batch assembly. Purely an optimization —
-// alignOne must be observably identical to AlignBatch of one pair.
-type singlePairAligner interface {
-	alignOne(ctx context.Context, p Pair) (Result, error)
-}
-
 // cpuBackend pools per-goroutine aligners (the kernels keep scratch, so
 // an aligner is single-goroutine; the pool amortizes construction across
 // calls instead of rebuilding one per AlignBatch worker).
@@ -55,19 +47,6 @@ func (b *cpuBackend) Capabilities() Capabilities {
 
 func (b *cpuBackend) Stats() BackendStats {
 	return BackendStats{Name: "cpu", Batches: b.batches.Load(), Pairs: b.pairs.Load()}
-}
-
-func (b *cpuBackend) alignOne(ctx context.Context, p Pair) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	// The single-pair fast path counts toward Pairs only: Batches stays
-	// a measure of AlignBatch executions, so pairs-per-batch ratios from
-	// Stats keep meaning batching efficiency.
-	b.pairs.Add(1)
-	a := b.pool.Get().(*aligner)
-	defer b.pool.Put(a)
-	return a.Align(p.Query, p.Ref)
 }
 
 func (b *cpuBackend) AlignBatch(ctx context.Context, _ Config, pairs []Pair) ([]Result, error) {
@@ -185,7 +164,7 @@ type gpuBackend struct {
 	has  bool
 }
 
-func newGPUBackend(cfg Config, blocksPerSM int) (*gpuBackend, error) {
+func newGPUBackend(cfg Config) (*gpuBackend, error) {
 	gcfg := gpualign.DefaultConfig(gpualign.Improved)
 	switch cfg.Algorithm {
 	case GenASM:
@@ -198,9 +177,6 @@ func newGPUBackend(cfg Config, blocksPerSM int) (*gpuBackend, error) {
 		return nil, fmt.Errorf("genasm: ablation toggles are CPU-only")
 	}
 	gcfg.W, gcfg.O, gcfg.InitialK = cfg.WindowSize, cfg.Overlap, cfg.ErrorK
-	if blocksPerSM > 0 {
-		gcfg.TargetBlocksPerSM = blocksPerSM
-	}
 	gcfg.Device = gpu.A6000()
 	// Validate the window geometry eagerly with a throwaway launch config
 	// check: the same Config constructor the CPU path uses.

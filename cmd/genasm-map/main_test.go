@@ -15,6 +15,7 @@ import (
 	"genasm"
 	"genasm/internal/cigar"
 	"genasm/internal/genome"
+	"genasm/internal/readsim"
 	"genasm/internal/samfmt"
 )
 
@@ -61,6 +62,29 @@ func mapToString(t *testing.T, o options) string {
 	return out.String()
 }
 
+// fastaCopy rewrites a FASTQ reads file as FASTA next to it.
+func fastaCopy(t *testing.T, fqPath string) string {
+	t.Helper()
+	reads, err := readsim.LoadReadsFile(fqPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]genome.Record, len(reads))
+	for i, r := range reads {
+		recs[i] = genome.Record{Name: r.Name, Seq: r.Seq}
+	}
+	faPath := strings.TrimSuffix(fqPath, ".fastq") + ".fa"
+	f, err := os.Create(faPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := genome.WriteFASTA(f, recs); err != nil {
+		t.Fatal(err)
+	}
+	return faPath
+}
+
 func testOptions(refPath, fqPath, format string) options {
 	o := defaultOptions()
 	o.refPath, o.readsPath, o.format = refPath, fqPath, format
@@ -98,83 +122,95 @@ func TestGolden(t *testing.T) {
 // TestRoundTripGroundTruth is the pipeline's end-to-end check: simulated
 // reads with known origins go through genasm-map, and every mapped
 // primary SAM record's POS and strand must recover the simulator's
-// ground truth (POS within the candidate flank of the true origin).
+// ground truth (POS within the candidate flank of the true origin). The
+// same reads run once as FASTQ through GenASM and once as FASTA (no
+// qualities) through Edlib.
 func TestRoundTripGroundTruth(t *testing.T) {
 	dir := t.TempDir()
 	refPath, fqPath, truth, refLen := writeTestData(t, dir, 30, 1500, 23)
-	out := mapToString(t, testOptions(refPath, fqPath, "sam"))
+	faPath := fastaCopy(t, fqPath)
+	for _, in := range []struct{ name, reads, algo string }{
+		{"fastq-genasm", fqPath, "genasm"},
+		{"fasta-edlib", faPath, "edlib"},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			o := testOptions(refPath, in.reads, "sam")
+			o.algo = in.algo
+			out := mapToString(t, o)
 
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if !strings.HasPrefix(lines[0], "@HD\tVN:1.6") {
-		t.Fatalf("first line %q is not an @HD header", lines[0])
-	}
-	wantSQ := fmt.Sprintf("@SQ\tSN:synthetic\tLN:%d", refLen)
-	if !strings.Contains(out, wantSQ) {
-		t.Fatalf("missing %q in header", wantSQ)
-	}
-	mapped, unmapped := 0, 0
-	for _, line := range lines {
-		if strings.HasPrefix(line, "@") {
-			continue
-		}
-		f := strings.Split(line, "\t")
-		if len(f) < 11 {
-			t.Fatalf("record %q has %d fields, want >= 11", line, len(f))
-		}
-		flag, err := strconv.Atoi(f[1])
-		if err != nil {
-			t.Fatalf("bad FLAG in %q", line)
-		}
-		tr, ok := truth[f[0]]
-		if !ok {
-			t.Fatalf("record for unknown read %q", f[0])
-		}
-		if flag&samfmt.FlagUnmapped != 0 {
-			unmapped++
-			continue
-		}
-		if flag&samfmt.FlagSecondary != 0 {
-			continue
-		}
-		mapped++
-		if gotRev := flag&samfmt.FlagRevComp != 0; gotRev != tr.RevComp {
-			t.Errorf("read %s: strand %v, ground truth %v", f[0], gotRev, tr.RevComp)
-		}
-		pos, err := strconv.Atoi(f[3])
-		if err != nil || pos < 1 {
-			t.Fatalf("bad POS in %q", line)
-		}
-		// The candidate region is anchored by the chain's first minimizer
-		// hit; allow the 100 bp flank plus indel drift.
-		if d := pos - 1 - tr.Pos; d < -150 || d > 150 {
-			t.Errorf("read %s: POS %d vs ground-truth origin %d (drift %d)", f[0], pos-1, tr.Pos, d)
-		}
-		// NM must agree with both the reported distance and the CIGAR.
-		cg, err := cigar.Parse(f[5])
-		if err != nil {
-			t.Fatalf("read %s: CIGAR %q: %v", f[0], f[5], err)
-		}
-		nm := -1
-		for _, tag := range f[11:] {
-			if v, ok := strings.CutPrefix(tag, "NM:i:"); ok {
-				nm, err = strconv.Atoi(v)
+			lines := strings.Split(strings.TrimSpace(out), "\n")
+			if !strings.HasPrefix(lines[0], "@HD\tVN:1.6") {
+				t.Fatalf("first line %q is not an @HD header", lines[0])
+			}
+			wantSQ := fmt.Sprintf("@SQ\tSN:synthetic\tLN:%d", refLen)
+			if !strings.Contains(out, wantSQ) {
+				t.Fatalf("missing %q in header", wantSQ)
+			}
+			mapped, unmapped := 0, 0
+			for _, line := range lines {
+				if strings.HasPrefix(line, "@") {
+					continue
+				}
+				f := strings.Split(line, "\t")
+				if len(f) < 11 {
+					t.Fatalf("record %q has %d fields, want >= 11", line, len(f))
+				}
+				flag, err := strconv.Atoi(f[1])
 				if err != nil {
-					t.Fatalf("read %s: bad NM tag %q", f[0], tag)
+					t.Fatalf("bad FLAG in %q", line)
+				}
+				tr, ok := truth[f[0]]
+				if !ok {
+					t.Fatalf("record for unknown read %q", f[0])
+				}
+				if flag&samfmt.FlagUnmapped != 0 {
+					unmapped++
+					continue
+				}
+				if flag&samfmt.FlagSecondary != 0 {
+					continue
+				}
+				mapped++
+				if gotRev := flag&samfmt.FlagRevComp != 0; gotRev != tr.RevComp {
+					t.Errorf("read %s: strand %v, ground truth %v", f[0], gotRev, tr.RevComp)
+				}
+				pos, err := strconv.Atoi(f[3])
+				if err != nil || pos < 1 {
+					t.Fatalf("bad POS in %q", line)
+				}
+				// The candidate region is anchored by the chain's first minimizer
+				// hit; allow the 100 bp flank plus indel drift.
+				if d := pos - 1 - tr.Pos; d < -150 || d > 150 {
+					t.Errorf("read %s: POS %d vs ground-truth origin %d (drift %d)", f[0], pos-1, tr.Pos, d)
+				}
+				// NM must agree with both the reported distance and the CIGAR.
+				cg, err := cigar.Parse(f[5])
+				if err != nil {
+					t.Fatalf("read %s: CIGAR %q: %v", f[0], f[5], err)
+				}
+				nm := -1
+				for _, tag := range f[11:] {
+					if v, ok := strings.CutPrefix(tag, "NM:i:"); ok {
+						nm, err = strconv.Atoi(v)
+						if err != nil {
+							t.Fatalf("read %s: bad NM tag %q", f[0], tag)
+						}
+					}
+				}
+				if nm != cg.EditCost() {
+					t.Errorf("read %s: NM %d != CIGAR edit cost %d", f[0], nm, cg.EditCost())
+				}
+				if got := cg.QueryLen(); got != len(f[9]) {
+					t.Errorf("read %s: CIGAR consumes %d query bases, SEQ has %d", f[0], got, len(f[9]))
 				}
 			}
-		}
-		if nm != cg.EditCost() {
-			t.Errorf("read %s: NM %d != CIGAR edit cost %d", f[0], nm, cg.EditCost())
-		}
-		if got := cg.QueryLen(); got != len(f[9]) {
-			t.Errorf("read %s: CIGAR consumes %d query bases, SEQ has %d", f[0], got, len(f[9]))
-		}
-	}
-	if mapped+unmapped != len(truth) {
-		t.Fatalf("%d primary + %d unmapped records for %d reads", mapped, unmapped, len(truth))
-	}
-	if mapped < len(truth)*8/10 {
-		t.Fatalf("only %d/%d reads mapped", mapped, len(truth))
+			if mapped+unmapped != len(truth) {
+				t.Fatalf("%d primary + %d unmapped records for %d reads", mapped, unmapped, len(truth))
+			}
+			if mapped < len(truth)*8/10 {
+				t.Fatalf("only %d/%d reads mapped", mapped, len(truth))
+			}
+		})
 	}
 }
 
@@ -257,12 +293,17 @@ func TestBackendsAgree(t *testing.T) {
 func TestRejectsBadInputs(t *testing.T) {
 	dir := t.TempDir()
 	refPath, fqPath, _, _ := writeTestData(t, dir, 2, 800, 11)
+	emptyPath := filepath.Join(dir, "empty.fa")
+	if err := os.WriteFile(emptyPath, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	bad := []options{
 		func() options { o := testOptions(refPath, fqPath, "bam"); return o }(),
 		func() options { o := testOptions(refPath, fqPath, "sam"); o.backend = "tpu"; return o }(),
 		func() options { o := testOptions(refPath, fqPath, "sam"); o.algo = "nope"; return o }(),
 		func() options { o := testOptions(filepath.Join(dir, "missing.fa"), fqPath, "sam"); return o }(),
 		func() options { o := testOptions(refPath, filepath.Join(dir, "missing.fq"), "sam"); return o }(),
+		func() options { o := testOptions(emptyPath, fqPath, "sam"); return o }(),
 	}
 	for i, o := range bad {
 		if err := run(context.Background(), o, new(bytes.Buffer), io.Discard); err == nil {

@@ -13,8 +13,8 @@ import (
 	"genasm/internal/readsim"
 )
 
-// writeTestData materializes a genome and simulated reads as files
-// (mirrors cmd/genasm-align's fixture).
+// writeTestData materializes a 120 kb genome as FASTA and eight
+// simulated PacBio-like reads as FASTQ.
 func writeTestData(t *testing.T, dir string) (refPath, fqPath string, reads []readsim.Read, refLen int) {
 	t.Helper()
 	cfg := genome.DefaultConfig(120_000)

@@ -16,7 +16,6 @@ type engineSettings struct {
 	mapper      *Mapper
 	maxQueryLen int
 	allCands    bool
-	blocksPerSM int
 }
 
 // Option configures an Engine; see the With* constructors.
@@ -43,21 +42,6 @@ func WithWindow(w, o, k int) Option {
 	return func(s *engineSettings) {
 		s.cfg.WindowSize, s.cfg.Overlap, s.cfg.ErrorK = w, o, k
 	}
-}
-
-// WithScoring sets the affine-gap scoring parameters used for Result.Score
-// (and by the KSW2/SWG aligners): match bonus, mismatch penalty, gap-open
-// and gap-extend penalties. Zero values take the minimap2 defaults 2/4/4/2.
-func WithScoring(match, mismatch, gapOpen, gapExtend int) Option {
-	return func(s *engineSettings) {
-		s.cfg.MatchScore, s.cfg.MismatchPenalty = match, mismatch
-		s.cfg.GapOpen, s.cfg.GapExtend = gapOpen, gapExtend
-	}
-}
-
-// WithBandWidth bounds the KSW2 band (0 = minimap2's 500).
-func WithBandWidth(n int) Option {
-	return func(s *engineSettings) { s.cfg.BandWidth = n }
 }
 
 // WithAblation disables individual GenASM improvements for ablation
@@ -91,12 +75,6 @@ func WithAllCandidates(all bool) Option {
 // production guardrail against unbounded per-request work.
 func WithMaxQueryLen(n int) Option {
 	return func(s *engineSettings) { s.maxQueryLen = n }
-}
-
-// WithGPUBlocksPerSM sets the GPU backend's target blocks per SM,
-// trading occupancy against per-block shared memory (default 8).
-func WithGPUBlocksPerSM(n int) Option {
-	return func(s *engineSettings) { s.blocksPerSM = n }
 }
 
 // WithConfig seeds every aligner parameter from a Config; later options
@@ -137,10 +115,7 @@ func NewEngine(opts ...Option) (*Engine, error) {
 	if s.backendName == "" {
 		s.backendName = "cpu"
 	}
-	be, err := openBackend(s.backendName, cfg, BackendOptions{
-		Threads:        s.threads,
-		GPUBlocksPerSM: s.blocksPerSM,
-	})
+	be, err := openBackend(s.backendName, cfg, BackendOptions{Threads: s.threads})
 	if err != nil {
 		return nil, err
 	}
@@ -226,19 +201,6 @@ func (e *Engine) runBatch(ctx context.Context, pairs []Pair) ([]Result, error) {
 	return results, nil
 }
 
-// alignOne runs a single pair on the backend, through its fast path when
-// it has one.
-func (e *Engine) alignOne(ctx context.Context, p Pair) (Result, error) {
-	if s, ok := e.be.(singlePairAligner); ok {
-		return s.alignOne(ctx, p)
-	}
-	res, err := e.runBatch(ctx, []Pair{p})
-	if err != nil {
-		return Result{}, err
-	}
-	return res[0], nil
-}
-
 // Align aligns one query against one candidate reference region. Both are
 // raw ASCII sequences; non-ACGT characters never match anything.
 func (e *Engine) Align(ctx context.Context, query, ref []byte) (Result, error) {
@@ -248,7 +210,11 @@ func (e *Engine) Align(ctx context.Context, query, ref []byte) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	return e.alignOne(ctx, Pair{Query: query, Ref: ref})
+	res, err := e.runBatch(ctx, []Pair{{Query: query, Ref: ref}})
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
 }
 
 // AlignBatch aligns every pair and returns index-aligned results. The
@@ -420,18 +386,10 @@ func (e *Engine) mapAlignOne(ctx context.Context, idx int, rd Read) []MappedAlig
 		return []MappedAlignment{{ReadIndex: idx, Read: rd, Err: fmt.Errorf("read %q: %w", rd.Name, err)}}
 	}
 	out, pairs := e.mapper.Plan(idx, rd, e.allCands)
-	var results []Result
-	var err error
-	switch len(pairs) {
-	case 0:
+	if len(pairs) == 0 {
 		return out // unmapped
-	case 1:
-		var r Result
-		r, err = e.alignOne(ctx, pairs[0])
-		results = []Result{r}
-	default:
-		results, err = e.runBatch(ctx, pairs)
 	}
+	results, err := e.runBatch(ctx, pairs)
 	if err != nil {
 		err = fmt.Errorf("read %q: %w", rd.Name, err)
 		for i := range out {

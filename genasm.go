@@ -53,9 +53,9 @@ type Config struct {
 	BandWidth int
 }
 
-// fillDefaults takes the window geometry from core.DefaultConfig; the
-// overlap default applies only to the default window size, and k never
-// exceeds the window.
+// fillDefaults takes the window geometry from core.DefaultConfig and the
+// scoring and band from ksw2.DefaultParams; the overlap default applies
+// only to the default window size, and k never exceeds the window.
 func (c *Config) fillDefaults() {
 	if c.Algorithm == "" {
 		c.Algorithm = GenASM
@@ -70,20 +70,21 @@ func (c *Config) fillDefaults() {
 	if c.ErrorK == 0 {
 		c.ErrorK = min(def.InitialK, c.WindowSize)
 	}
+	kd := ksw2.DefaultParams()
 	if c.MatchScore == 0 {
-		c.MatchScore = 2
+		c.MatchScore = kd.Penalties.A
 	}
 	if c.MismatchPenalty == 0 {
-		c.MismatchPenalty = 4
+		c.MismatchPenalty = kd.Penalties.B
 	}
 	if c.GapOpen == 0 {
-		c.GapOpen = 4
+		c.GapOpen = kd.Penalties.Q
 	}
 	if c.GapExtend == 0 {
-		c.GapExtend = 2
+		c.GapExtend = kd.Penalties.E
 	}
 	if c.BandWidth == 0 {
-		c.BandWidth = 500
+		c.BandWidth = kd.BandWidth
 	}
 }
 

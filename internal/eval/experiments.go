@@ -31,9 +31,9 @@ func runCounters(w *Workload, mk func() (counterAligner, error)) (stats.Counters
 		return agg, err
 	}
 	var c stats.Counters
-	a.setCounters(&c)
+	a.SetCounters(&c)
 	for _, p := range w.Pairs {
-		if _, err := a.alignEncoded(p.Query, p.Ref); err != nil {
+		if _, err := a.AlignEncoded(p.Query, p.Ref); err != nil {
 			return agg, err
 		}
 	}
@@ -41,39 +41,19 @@ func runCounters(w *Workload, mk func() (counterAligner, error)) (stats.Counters
 	return agg, nil
 }
 
+// counterAligner is the method set *core.Aligner and *baseline.Aligner
+// share.
 type counterAligner interface {
-	alignEncoded(q, t []byte) (core.Result, error)
-	setCounters(c *stats.Counters)
+	AlignEncoded(q, t []byte) (core.Result, error)
+	SetCounters(c *stats.Counters)
 }
 
-type improvedCA struct{ a *core.Aligner }
-
-func (x improvedCA) alignEncoded(q, t []byte) (core.Result, error) { return x.a.AlignEncoded(q, t) }
-func (x improvedCA) setCounters(c *stats.Counters)                 { x.a.SetCounters(c) }
-
-type unimprovedCA struct{ a *baseline.Aligner }
-
-func (x unimprovedCA) alignEncoded(q, t []byte) (core.Result, error) { return x.a.AlignEncoded(q, t) }
-func (x unimprovedCA) setCounters(c *stats.Counters)                 { x.a.SetCounters(c) }
-
 func newImproved(cfg core.Config) func() (counterAligner, error) {
-	return func() (counterAligner, error) {
-		a, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return improvedCA{a}, nil
-	}
+	return func() (counterAligner, error) { return core.New(cfg) }
 }
 
 func newUnimproved() func() (counterAligner, error) {
-	return func() (counterAligner, error) {
-		a, err := baseline.New(baseline.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		return unimprovedCA{a}, nil
-	}
+	return func() (counterAligner, error) { return baseline.New(baseline.DefaultConfig()) }
 }
 
 // E1MemoryFootprint reproduces the paper's "24x smaller memory footprint":

@@ -98,25 +98,12 @@ type BatchResult struct {
 	Counters stats.Counters
 }
 
-// pairAligner abstracts the two CPU kernels behind one call.
+// pairAligner is the method set *core.Aligner and *baseline.Aligner
+// share, so one launch body drives either kernel.
 type pairAligner interface {
-	alignEncoded(q, t []byte) (core.Result, error)
-	setCounters(c *stats.Counters)
+	AlignEncoded(q, t []byte) (core.Result, error)
+	SetCounters(c *stats.Counters)
 }
-
-type improvedAligner struct{ a *core.Aligner }
-
-func (x improvedAligner) alignEncoded(q, t []byte) (core.Result, error) {
-	return x.a.AlignEncoded(q, t)
-}
-func (x improvedAligner) setCounters(c *stats.Counters) { x.a.SetCounters(c) }
-
-type unimprovedAligner struct{ a *baseline.Aligner }
-
-func (x unimprovedAligner) alignEncoded(q, t []byte) (core.Result, error) {
-	return x.a.AlignEncoded(q, t)
-}
-func (x unimprovedAligner) setCounters(c *stats.Counters) { x.a.SetCounters(c) }
 
 // AlignBatch aligns every pair on the simulated device.
 func AlignBatch(pairs []Pair, cfg Config) (BatchResult, error) {
@@ -126,20 +113,10 @@ func AlignBatch(pairs []Pair, cfg Config) (BatchResult, error) {
 		return BatchResult{}, err
 	}
 	newAligner := func() (pairAligner, error) {
-		switch cfg.Algorithm {
-		case Unimproved:
-			a, err := baseline.New(baseline.Config{W: cfg.W, O: cfg.O, InitialK: cfg.InitialK})
-			if err != nil {
-				return nil, err
-			}
-			return unimprovedAligner{a}, nil
-		default:
-			a, err := core.New(core.Config{W: cfg.W, O: cfg.O, InitialK: cfg.InitialK})
-			if err != nil {
-				return nil, err
-			}
-			return improvedAligner{a}, nil
+		if cfg.Algorithm == Unimproved {
+			return baseline.New(baseline.Config{W: cfg.W, O: cfg.O, InitialK: cfg.InitialK})
 		}
+		return core.New(core.Config{W: cfg.W, O: cfg.O, InitialK: cfg.InitialK})
 	}
 	if _, err := newAligner(); err != nil { // validate config once, eagerly
 		return BatchResult{}, err
@@ -164,9 +141,9 @@ func AlignBatch(pairs []Pair, cfg Config) (BatchResult, error) {
 		defer pool.Put(al)
 		var c stats.Counters
 		c.TrackWindows = true
-		al.setCounters(&c)
-		res, err := al.alignEncoded(pairs[i].Query, pairs[i].Ref)
-		al.setCounters(nil)
+		al.SetCounters(&c)
+		res, err := al.AlignEncoded(pairs[i].Query, pairs[i].Ref)
+		al.SetCounters(nil)
 		if err != nil {
 			firstErr.CompareAndSwap(nil, error(fmt.Errorf("gpualign: pair %d: %w", i, err)))
 			return gpu.BlockCost{}

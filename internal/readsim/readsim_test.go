@@ -3,6 +3,8 @@ package readsim
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -189,6 +191,57 @@ func TestFASTQRoundTrip(t *testing.T) {
 			!bytes.Equal(back[i].Qual, reads[i].Qual) {
 			t.Fatalf("record %d mismatch", i)
 		}
+	}
+}
+
+// TestLoadReadsFormats: LoadReadsFile parses the same reads from a
+// FASTQ and a FASTA file (the suffix picks the parser) and fails on a
+// missing file.
+func TestLoadReadsFormats(t *testing.T) {
+	p := PacBioCLR()
+	p.MeanLength, p.LengthSD = 300, 50
+	reads, err := Simulate(testRef(20000), 5, p, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var fq bytes.Buffer
+	if err := WriteFASTQ(&fq, reads); err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]genome.Record, len(reads))
+	for i, r := range reads {
+		recs[i] = genome.Record{Name: r.Name, Seq: r.Seq}
+	}
+	var fa bytes.Buffer
+	if err := genome.WriteFASTA(&fa, recs); err != nil {
+		t.Fatal(err)
+	}
+	fqPath, faPath := filepath.Join(dir, "reads.fastq"), filepath.Join(dir, "reads.fa")
+	if err := os.WriteFile(fqPath, fq.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(faPath, fa.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromFQ, err := LoadReadsFile(fqPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFA, err := LoadReadsFile(faPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fromFQ) != len(reads) || len(fromFA) != len(reads) {
+		t.Fatalf("fastq=%d fasta=%d want %d", len(fromFQ), len(fromFA), len(reads))
+	}
+	for i := range reads {
+		if fromFQ[i].Name != fromFA[i].Name || !bytes.Equal(fromFQ[i].Seq, fromFA[i].Seq) {
+			t.Fatalf("read %d: formats disagree", i)
+		}
+	}
+	if _, err := LoadReadsFile(filepath.Join(dir, "missing.fq")); err == nil {
+		t.Fatal("accepted missing reads file")
 	}
 }
 

@@ -43,10 +43,9 @@ type Capabilities struct {
 type BackendStats struct {
 	// Name is the backend's resolved name (e.g. "cpu", "multi(cpu,gpu)").
 	Name string `json:"name"`
-	// Batches counts AlignBatch executions; Pairs counts every pair
-	// aligned, including single-pair fast-path calls that bypass batch
-	// assembly (so Pairs/Batches stays a batching-efficiency signal,
-	// Pairs alone the work done).
+	// Batches counts AlignBatch executions and Pairs the pairs they
+	// aligned (so Pairs/Batches is a batching-efficiency signal, Pairs
+	// alone the work done).
 	Batches uint64 `json:"batches"`
 	Pairs   uint64 `json:"pairs"`
 	// Shards counts child dispatches performed by a composite backend
@@ -81,9 +80,6 @@ type BackendOptions struct {
 	// fan-out, forwarded unchanged to a composite's children. Always
 	// >= 1 by the time a factory sees it.
 	Threads int
-	// GPUBlocksPerSM is the WithGPUBlocksPerSM occupancy target (0 =
-	// backend default).
-	GPUBlocksPerSM int
 }
 
 // Factory builds a Backend instance for an Engine, database/sql-driver
@@ -185,7 +181,7 @@ func init() {
 		return newCPUBackend(cfg, opts.Threads)
 	}))
 	Register("gpu", leafFactory("gpu", func(cfg Config, opts BackendOptions) (Backend, error) {
-		return newGPUBackend(cfg, opts.GPUBlocksPerSM)
+		return newGPUBackend(cfg)
 	}))
 	Register("multi", func(spec string, cfg Config, opts BackendOptions) (Backend, error) {
 		return newMultiBackend(spec, cfg, opts)

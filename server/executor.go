@@ -5,7 +5,6 @@ import (
 
 	"genasm"
 	"genasm/internal/obs"
-	"genasm/internal/samfmt"
 )
 
 // executor is the execution seam between the workload handlers and the
@@ -40,35 +39,18 @@ func (x localExecutor) maxQueryLen() int { return x.s.eng.MaxQueryLen() }
 
 func (x localExecutor) execAlign(w http.ResponseWriter, r *http.Request, raw []byte, req AlignRequest) {
 	s := x.s
-	out := make([]AlignResult, len(req.Pairs))
-	keys := make([]string, len(req.Pairs))
-	var missPairs []genasm.Pair
-	var missIdx []int
-	caching := s.cache.Enabled()
+	pairs := make([]genasm.Pair, len(req.Pairs))
 	for i, p := range req.Pairs {
-		q, ref := []byte(p.Query), []byte(p.Ref)
-		if caching {
-			keys[i] = resultKey(s.fingerprint, ref, q)
-			if res, ok := s.cache.Get(keys[i]); ok {
-				s.metrics.cacheHits.Add(1)
-				out[i] = toAlignResult(res, true)
-				continue
-			}
-			s.metrics.cacheMisses.Add(1)
-		}
-		missPairs = append(missPairs, genasm.Pair{Query: q, Ref: ref})
-		missIdx = append(missIdx, i)
+		pairs[i] = genasm.Pair{Query: []byte(p.Query), Ref: []byte(p.Ref)}
 	}
-	if len(missPairs) > 0 {
-		results, err := s.sched.Submit(r.Context(), missPairs)
-		if err != nil {
-			writeSchedError(w, err)
-			return
-		}
-		for j, res := range results {
-			s.cache.Put(keys[missIdx[j]], res)
-			out[missIdx[j]] = toAlignResult(res, false)
-		}
+	results, cached, err := s.alignCached(r.Context(), pairs)
+	if err != nil {
+		writeSchedError(w, err)
+		return
+	}
+	out := make([]AlignResult, len(results))
+	for i, res := range results {
+		out[i] = toAlignResult(res, cached[i])
 	}
 	sp := obs.StartSpan(r.Context(), "serialize",
 		obs.String("format", "json"), obs.Int("results", len(out)))
@@ -77,27 +59,10 @@ func (x localExecutor) execAlign(w http.ResponseWriter, r *http.Request, raw []b
 }
 
 func (x localExecutor) execMapAlign(w http.ResponseWriter, r *http.Request, raw []byte, req MapAlignRequest, format string) {
-	s := x.s
-	ref, ok := s.registry.Get(req.Ref)
+	ref, ok := x.s.registry.Get(req.Ref)
 	if !ok {
 		httpError(w, http.StatusNotFound, "reference %q not registered", req.Ref)
 		return
 	}
-	if format == "sam" || format == "paf" {
-		s.streamMapAlign(w, r, ref, req, samfmt.Format(format))
-		return
-	}
-	aligned, err := s.alignReads(r.Context(), ref, req.Reads, req.AllCandidates)
-	if err != nil {
-		writeSchedError(w, err)
-		return
-	}
-	sp := obs.StartSpan(r.Context(), "serialize",
-		obs.String("format", "json"), obs.Int("reads", len(aligned)))
-	results := make([]MappedRead, len(aligned))
-	for i, ar := range aligned {
-		results[i] = toMappedRead(req.Reads[i].Name, ar)
-	}
-	writeJSON(w, http.StatusOK, MapAlignResponse{Ref: req.Ref, Results: results})
-	sp.End()
+	x.s.writeMapAlign(w, r, ref, req, format)
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,11 +10,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"genasm/internal/obs"
 	"genasm/internal/readsim"
-	"genasm/internal/samfmt"
 	"genasm/server/jobs"
 )
 
@@ -25,9 +22,6 @@ import (
 // batches by a bounded worker pool (package jobs), and the finished
 // SAM/PAF/JSON result is downloaded separately — so a 10M-read run
 // neither holds an HTTP connection open nor dies with a dropped client.
-// Both lanes share alignReads and the samfmt writers, which is what
-// makes a job's SAM byte-identical to /map-align?format=sam on the
-// same reads (pinned by TestJobSAMByteIdenticalToSync).
 
 // errJobsDisabled answers every /jobs request when the server was built
 // without a jobs spool directory.
@@ -207,12 +201,13 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // runBulkJob is the jobs.RunFunc: it parses the spooled input, then
-// drains the read set through the same alignReads path the interactive
-// lane uses — candidate location on the shared mapper, result cache,
-// scheduler coalescing — in batches sized from the engine backend's
-// Capabilities, reporting read-level progress after every batch.
-// Cancellation (DELETE, drain) is observed between batches and inside
-// the scheduler wait, so a cancel takes effect within one batch.
+// drains the read set through the interactive lane's chunk loop and
+// record writer — candidate location on the shared mapper, result
+// cache, scheduler coalescing — in batches sized from the engine
+// backend's Capabilities, reporting read-level progress after every
+// batch and backing off while the scheduler sheds load. Cancellation
+// (DELETE, drain) is observed between batches and inside the scheduler
+// wait, so a cancel takes effect within one batch.
 func (s *Server) runBulkJob(ctx context.Context, spec jobs.Spec, inputPath string, out io.Writer, p *jobs.Progress) error {
 	// The job gets its own trace (ID = the job ID, recovered from the
 	// spool path), threaded through the scheduler like a request's: the
@@ -243,131 +238,19 @@ func (s *Server) runBulkJob(ctx context.Context, spec jobs.Spec, inputPath strin
 	if batch <= 0 {
 		batch = 256
 	}
-
-	var emit func(chunk []ReadIn, aligned []alignedRead) (failed int, err error)
-	var finish func() error
-
-	switch spec.Format {
-	case "sam", "paf":
-		format := samfmt.Format(spec.Format)
-		sref := samfmt.Ref{Name: ref.Name, Length: ref.Length}
-		// The interactive lane's writer configuration, verbatim: that is
-		// what makes a job's SAM byte-identical to the equivalent
-		// /map-align?format=sam response.
-		sw := samfmt.NewWriter(out, format, []samfmt.Ref{sref}, samProgram(format))
-		emit = func(chunk []ReadIn, aligned []alignedRead) (int, error) {
-			failed := 0
-			for _, ar := range aligned {
-				if ar.err != nil {
-					failed++ // SAM/PAF have no error record
-					continue
-				}
-				for _, m := range ar.mals {
-					if err := sw.Write(sref, m); err != nil {
-						return failed, err
-					}
-				}
-			}
-			return failed, nil
-		}
-		finish = sw.Flush
-	case "json":
-		// Stream the MapAlignResponse envelope element by element so a
-		// genome-sized job never buffers its whole result in memory. The
-		// shape matches the interactive lane's JSON response.
-		bw := bufio.NewWriter(out)
-		refJSON, _ := json.Marshal(spec.Ref)
-		fmt.Fprintf(bw, `{"ref":%s,"results":[`, refJSON)
-		wrote := false
-		emit = func(chunk []ReadIn, aligned []alignedRead) (int, error) {
-			failed := 0
-			for i, ar := range aligned {
-				mr := toMappedRead(chunk[i].Name, ar)
-				if mr.Error != "" {
-					failed++
-				}
-				b, err := json.Marshal(mr)
-				if err != nil {
-					return failed, err
-				}
-				if wrote {
-					bw.WriteByte(',')
-				}
-				wrote = true
-				if _, err := bw.Write(b); err != nil {
-					return failed, err
-				}
-			}
-			return failed, nil
-		}
-		finish = func() error {
-			bw.WriteString("]}\n")
-			return bw.Flush()
-		}
-	default:
-		return fmt.Errorf("unknown job format %q", spec.Format)
-	}
-
-	for start := 0; start < len(reads); start += batch {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// Convert per chunk rather than all up front: the parsed reads
-		// already live in memory, and the lane exists for genome-sized
-		// inputs — a second full-size copy would double peak RAM.
-		end := min(start+batch, len(reads))
+	rw := newRecordWriter(out, spec.Format, ref)
+	// Convert per chunk rather than all up front: the parsed reads
+	// already live in memory, and the lane exists for genome-sized
+	// inputs — a second full-size copy would double peak RAM.
+	readsAt := func(start, end int) []ReadIn {
 		chunk := make([]ReadIn, end-start)
 		for i, rd := range reads[start:end] {
 			chunk[i] = ReadIn{Name: rd.Name, Seq: string(rd.Seq), Qual: string(rd.Qual)}
 		}
-		aligned, err := s.alignReads(ctx, ref, chunk, spec.AllCandidates)
-		for errors.Is(err, ErrQueueFull) {
-			// Backpressure is transient by definition: the interactive
-			// lane answers it with 429 + Retry-After, so the bulk lane —
-			// a background job measured in minutes — backs off and
-			// retries the batch instead of failing the whole job.
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(queueFullBackoff):
-			}
-			aligned, err = s.alignReads(ctx, ref, chunk, spec.AllCandidates)
-		}
-		if err != nil {
-			return fmt.Errorf("batch at read %d: %w", start, err)
-		}
-		failed, err := emit(chunk, aligned)
-		p.Add(len(chunk), failed)
-		if err != nil {
-			return err
-		}
+		return chunk
 	}
-	return finish()
-}
-
-// queueFullBackoff is how long a bulk worker waits before resubmitting
-// a batch the scheduler shed with ErrQueueFull (interactive traffic has
-// priority; a job retries quietly).
-const queueFullBackoff = 100 * time.Millisecond
-
-// toMappedRead converts one alignReads outcome into the wire shape
-// shared by the buffered /map-align JSON response and job JSON results.
-func toMappedRead(name string, ar alignedRead) MappedRead {
-	mr := MappedRead{Read: name}
-	switch {
-	case ar.err != nil:
-		mr.Error = ar.err.Error()
-	case ar.mals[0].Unmapped:
-		mr.Unmapped = true
-	default:
-		mr.Alignments = make([]MapAlignment, len(ar.mals))
-		for rank, m := range ar.mals {
-			mr.Alignments[rank] = MapAlignment{
-				Rank: rank, RefStart: m.Candidate.Start, RefEnd: m.Candidate.End,
-				RevComp: m.Candidate.RevComp, ChainScore: m.Candidate.Score,
-				AlignResult: toAlignResult(m.Result, ar.cached[rank]),
-			}
-		}
+	if err := s.mapAlignChunks(ctx, ref, spec.AllCandidates, true, len(reads), batch, readsAt, rw, p.Add); err != nil {
+		return err
 	}
-	return mr
+	return rw.close()
 }

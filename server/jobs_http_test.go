@@ -233,7 +233,8 @@ func head(s string, n int) string {
 }
 
 // TestJobJSONMatchesSync: a format=json job downloads the same
-// MapAlignResponse the synchronous JSON lane returns.
+// MapAlignResponse the synchronous JSON lane returns, byte for byte —
+// including a read name with characters JSON encoders may HTML-escape.
 func TestJobJSONMatchesSync(t *testing.T) {
 	cfg := jobsTestConfig(t)
 	cfg.CacheSize = -1 // keep Cached flags identical across lanes
@@ -246,6 +247,7 @@ func TestJobJSONMatchesSync(t *testing.T) {
 	if _, err := srv.Registry().Add("g", ref); err != nil {
 		t.Fatal(err)
 	}
+	reads[1].Name = "r<1>&x"
 	maReq := MapAlignRequest{Ref: "g"}
 	for _, rd := range reads {
 		maReq.Reads = append(maReq.Reads, ReadIn{Name: rd.Name, Seq: string(rd.Seq), Qual: string(rd.Qual)})
@@ -274,6 +276,9 @@ func TestJobJSONMatchesSync(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("job JSON differs from sync JSON:\njob:  %+v\nsync: %+v", got, want)
+	}
+	if res != string(body) {
+		t.Fatalf("job JSON bytes differ from sync JSON:\njob:  %q\nsync: %q", res, body)
 	}
 }
 

@@ -60,7 +60,6 @@ import (
 
 	"genasm"
 	"genasm/internal/obs"
-	"genasm/internal/samfmt"
 	"genasm/server/jobs"
 )
 
@@ -520,20 +519,15 @@ type alignedRead struct {
 }
 
 // alignReads runs map+align for a batch of reads against one registered
-// reference: planning on the shared mapper, result-cache lookups, and a
-// single scheduler submission for every cache miss in the batch (so the
-// pairs coalesce with other requests' work). Per-read problems (empty
-// sequence, over the engine's query limit) land in that read's err; the
-// returned error is a whole-submission failure (backpressure, shutdown,
-// cancellation).
+// reference: planning on the shared mapper, then alignCached for every
+// candidate pair in the batch at once (so the pairs coalesce with other
+// requests' work). Per-read problems (empty sequence, over the engine's
+// query limit) land in that read's err; the returned error is a
+// whole-submission failure (backpressure, shutdown, cancellation).
 func (s *Server) alignReads(ctx context.Context, ref *Reference, reads []ReadIn, all bool) ([]alignedRead, error) {
 	maxQ := s.eng.MaxQueryLen()
 	out := make([]alignedRead, len(reads))
-	type slot struct{ read, aln int }
-	var missPairs []genasm.Pair
-	var missSlots []slot
-	var missKeys []string
-	caching := s.cache.Enabled()
+	var pairs []genasm.Pair
 	for i, rd := range reads {
 		if rd.Seq == "" {
 			out[i].err = errors.New("empty read sequence")
@@ -544,125 +538,74 @@ func (s *Server) alignReads(ctx context.Context, ref *Reference, reads []ReadIn,
 			continue
 		}
 		read := genasm.Read{Name: rd.Name, Seq: []byte(rd.Seq), Qual: []byte(rd.Qual)}
-		mals, pairs := ref.Mapper().Plan(i, read, all)
+		mals, ps := ref.Mapper().Plan(i, read, all)
 		out[i].mals = mals
-		if len(pairs) == 0 {
+		if len(ps) == 0 {
 			s.metrics.readsNoCands.Add(1)
 			continue
 		}
 		s.metrics.readsMapped.Add(1)
-		out[i].cached = make([]bool, len(pairs))
-		for rank, p := range pairs {
-			var key string
-			if caching {
-				key = resultKey(s.fingerprint, p.Ref, p.Query)
-				if res, ok := s.cache.Get(key); ok {
-					s.metrics.cacheHits.Add(1)
-					mals[rank].Result = res
-					out[i].cached[rank] = true
-					continue
-				}
-				s.metrics.cacheMisses.Add(1)
-			}
-			missPairs = append(missPairs, p)
-			missSlots = append(missSlots, slot{read: i, aln: rank})
-			missKeys = append(missKeys, key)
-		}
+		pairs = append(pairs, ps...)
 	}
-	if len(missPairs) > 0 {
-		aligned, err := s.sched.Submit(ctx, missPairs)
-		if err != nil {
-			return nil, err
+	results, cached, err := s.alignCached(ctx, pairs)
+	if err != nil {
+		return nil, err
+	}
+	// A mapped read's pairs are index-aligned with its emissions and
+	// contiguous in pairs, in read order.
+	k := 0
+	for i := range out {
+		ar := &out[i]
+		if ar.err != nil || ar.mals[0].Unmapped {
+			continue
 		}
-		for j, res := range aligned {
-			s.cache.Put(missKeys[j], res)
-			sl := missSlots[j]
-			out[sl.read].mals[sl.aln].Result = res
+		n := len(ar.mals)
+		ar.cached = cached[k : k+n : k+n]
+		for rank := range ar.mals {
+			ar.mals[rank].Result = results[k+rank]
 		}
+		k += n
 	}
 	return out, nil
 }
 
-// streamChunk is how many reads the streaming /map-align path maps and
-// aligns per scheduler submission: records for finished chunks flush to
-// the client while later chunks are still aligning, bounding both memory
-// and time-to-first-record, while each chunk still coalesces in the
-// scheduler with other requests' work.
-const streamChunk = 32
-
-// TrailerStatus is the HTTP trailer set by streaming /map-align
-// responses: "ok" after a complete stream, otherwise the terminal error.
-// Trailers are the only error channel once records (status 200) have
-// started flowing.
-const TrailerStatus = "X-Genasm-Status"
-
-// streamMapAlign answers /map-align with incrementally streamed SAM or
-// PAF records instead of one buffered JSON body. Reads flow through in
-// chunks of streamChunk; each chunk's records are flushed as soon as the
-// chunk's alignments return. Reads the pipeline rejects (empty sequence,
-// over the query limit) are skipped: SAM/PAF have no error record, so
-// their count travels in the TrailerStatus trailer. A scheduler failure
-// before the first flush still gets a real HTTP error status; after
-// that, the trailer is the only error channel.
-func (s *Server) streamMapAlign(w http.ResponseWriter, r *http.Request, ref *Reference, req MapAlignRequest, format samfmt.Format) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("Trailer", TrailerStatus)
-	sref := samfmt.Ref{Name: ref.Name, Length: ref.Length}
-	// cw counts the body bytes that actually reached the client: until
-	// the first one, a failure can still use a real HTTP status code
-	// (a PAF stream whose early chunks are all unmapped writes nothing).
-	cw := &countingWriter{w: w}
-	sw := samfmt.NewWriter(cw, format, []samfmt.Ref{sref}, samProgram(format))
-	flusher, _ := w.(http.Flusher)
-	readErrs := 0
-	for start := 0; start < len(req.Reads); start += streamChunk {
-		chunk := req.Reads[start:min(start+streamChunk, len(req.Reads))]
-		aligned, err := s.alignReads(r.Context(), ref, chunk, req.AllCandidates)
-		if err != nil {
-			if cw.n == 0 {
-				// Nothing has been written: answer with a real status
-				// code (429 backpressure, 503 shutdown, ...) so clients
-				// that never read trailers still see the failure.
-				w.Header().Del("Trailer")
-				writeSchedError(w, err)
-				return
-			}
-			// Mid-stream: too late for a status code, the trailer is the
-			// error channel.
-			w.Header().Set(TrailerStatus, "error: "+err.Error())
-			sw.Flush()
-			return
-		}
-		emitStart := time.Now()
-		for _, ar := range aligned {
-			if ar.err != nil {
-				readErrs++
+// alignCached aligns pairs through the result cache and the batch
+// scheduler: hits are counted and answered from the cache, and every
+// miss goes to the scheduler in one submission and is cached on return.
+// cached reports, index-aligned with the results, which came from the
+// cache.
+func (s *Server) alignCached(ctx context.Context, pairs []genasm.Pair) (results []genasm.Result, cached []bool, err error) {
+	results = make([]genasm.Result, len(pairs))
+	cached = make([]bool, len(pairs))
+	keys := make([]string, len(pairs))
+	var missPairs []genasm.Pair
+	var missIdx []int
+	caching := s.cache.Enabled()
+	for i, p := range pairs {
+		if caching {
+			keys[i] = resultKey(s.fingerprint, p.Ref, p.Query)
+			if res, ok := s.cache.Get(keys[i]); ok {
+				s.metrics.cacheHits.Add(1)
+				results[i], cached[i] = res, true
 				continue
 			}
-			for _, m := range ar.mals {
-				if err := sw.Write(sref, m); err != nil {
-					w.Header().Set(TrailerStatus, "error: "+err.Error())
-					sw.Flush()
-					return
-				}
-			}
+			s.metrics.cacheMisses.Add(1)
 		}
-		if err := sw.Flush(); err != nil {
-			return // client went away; nothing left to signal
-		}
-		obs.FromContext(r.Context()).Record("serialize", emitStart, time.Since(emitStart),
-			obs.String("format", string(format)), obs.Int("reads", len(chunk)))
-		// Only force bytes (and thus the 200 status line) out once there
-		// are bytes: an empty flush would commit the headers prematurely.
-		if cw.n > 0 && flusher != nil {
-			flusher.Flush()
-		}
+		missPairs = append(missPairs, p)
+		missIdx = append(missIdx, i)
 	}
-	status := "ok"
-	if readErrs > 0 {
-		status = fmt.Sprintf("ok; skipped_reads=%d", readErrs)
+	if len(missPairs) == 0 {
+		return results, cached, nil
 	}
-	w.Header().Set(TrailerStatus, status)
+	aligned, err := s.sched.Submit(ctx, missPairs)
+	if err != nil {
+		return nil, nil, err
+	}
+	for j, res := range aligned {
+		s.cache.Put(keys[missIdx[j]], res)
+		results[missIdx[j]] = res
+	}
+	return results, cached, nil
 }
 
 func (s *Server) handleRefAdd(w http.ResponseWriter, r *http.Request) {
@@ -821,17 +764,6 @@ func (s *Server) handleBackends(w http.ResponseWriter, r *http.Request) {
 
 // ---- helpers ----
 
-// samProgram is the @PG header both SAM/PAF-producing lanes share. The
-// bulk job lane deliberately reuses the interactive lane's line so the
-// two surfaces emit byte-identical output for the same reads (pinned by
-// TestJobSAMByteIdenticalToSync) — downstream diffing and caching never
-// see a lane-dependent header.
-func samProgram(format samfmt.Format) samfmt.Program {
-	return samfmt.Program{
-		Name: "genasm-serve", CommandLine: "POST /map-align?format=" + string(format),
-	}
-}
-
 func toAlignResult(r genasm.Result, cached bool) AlignResult {
 	return AlignResult{
 		Distance: r.Distance, Score: r.Score, Cigar: r.Cigar,
@@ -839,28 +771,11 @@ func toAlignResult(r genasm.Result, cached bool) AlignResult {
 	}
 }
 
-// decodeJSON decodes the request body into v, answering 413 when the
-// body exceeded the MaxBodyBytes cap and 400 on malformed JSON. It
-// reports whether decoding succeeded.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(r.Body).Decode(v)
-	if err == nil {
-		return true
-	}
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			"request body exceeds %d bytes", tooBig.Limit)
-	} else {
-		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-	}
-	return false
-}
-
 // readJSON reads the whole request body (bounded by the MaxBytesReader
-// Handler installs) and unmarshals it into v, answering 413/400 like
-// decodeJSON. It additionally returns the raw bytes, so proxy mode
-// forwards exactly what the client sent instead of a re-encoding.
+// Handler installs) and unmarshals it into v, answering 413 when the
+// body exceeded the MaxBodyBytes cap and 400 on malformed JSON. It also
+// returns the raw bytes, so proxy mode forwards exactly what the client
+// sent instead of a re-encoding.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -901,18 +816,18 @@ func writeSchedError(w http.ResponseWriter, err error) {
 	}
 }
 
-// countingWriter counts the bytes written through it; the streaming
-// /map-align path uses the count to decide whether an HTTP status code
-// is still available for error reporting.
+// countingWriter counts the bytes handed to the writer under it; the
+// /map-align answer uses the count to decide whether an HTTP status
+// code is still available for error reporting (a ResponseWriter commits
+// its status line on the first non-empty Write, even a failed one).
 type countingWriter struct {
 	w io.Writer
 	n int64
 }
 
 func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	c.n += int64(len(p))
+	return c.w.Write(p)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
