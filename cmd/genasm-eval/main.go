@@ -9,8 +9,6 @@
 //	A1  per-improvement ablation
 //	A2  window geometry sweep
 //	A3  short reads
-//
-// See EXPERIMENTS.md for paper-vs-measured discussion.
 package main
 
 import (

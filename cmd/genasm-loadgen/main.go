@@ -7,16 +7,16 @@
 //	# all five scenarios, 10s measured each, human-readable summary
 //	genasm-loadgen -url http://localhost:8080 -scenarios all -duration 10s
 //
-//	# CI regression gate: ceilings from slo.json, BENCH report merged
+//	# CI regression gate: ceilings from slo.json
 //	genasm-loadgen -url http://localhost:8080 -scenarios all \
-//	    -duration 5s -slo slo.json -out BENCH_5.json
+//	    -duration 5s -slo slo.json
 //
 // Exit status: 0 when every scenario ran and every SLO ceiling held,
 // 1 when an SLO ceiling was violated, 2 on any other failure. The bulk
 // scenario needs the server started with -jobs-dir.
 //
-// See docs/OPERATIONS.md ("Load testing and SLOs") and
-// docs/BENCHMARKS.md (schema 3) for the workflow.
+// See docs/OPERATIONS.md ("Load testing and SLOs") for the workflow.
+// Performance numbers come from the benchmark/ harness, not from here.
 package main
 
 import (
@@ -51,7 +51,6 @@ type options struct {
 	genomeLen int
 	refName   string
 	sloPath   string
-	outPath   string // BENCH_*.json to write/merge ("" = none)
 }
 
 func defaultOptions() options {
@@ -97,7 +96,7 @@ func scenarioList(v string) ([]string, error) {
 }
 
 // run executes the selected scenarios sequentially, prints a summary
-// per scenario, optionally writes the BENCH report, and checks SLOs.
+// per scenario, and checks SLOs.
 func run(ctx context.Context, o options, out io.Writer) error {
 	names, err := scenarioList(o.scenarios)
 	if err != nil {
@@ -112,8 +111,6 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	}
 
 	var results []*loadgen.Result
-	var perTarget []*loadgen.Result
-	var cluster []loadgen.ClusterRow
 	target := o.url
 	if len(o.targets) > 0 {
 		target = strings.Join(o.targets, ",")
@@ -141,9 +138,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 				printResult(out, res)
 			}
 			printResult(out, agg)
-			perTarget = append(perTarget, per...)
 			results = append(results, agg)
-			cluster = append(cluster, loadgen.Row(per, agg))
 			continue
 		}
 		cfg.BaseURL = o.url
@@ -153,14 +148,6 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		}
 		printResult(out, res)
 		results = append(results, res)
-	}
-
-	if o.outPath != "" {
-		rep := loadgen.Report{Target: target, Seed: o.seed, Scenarios: results, PerTarget: perTarget, Cluster: cluster}
-		if err := loadgen.WriteBench(o.outPath, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote serving report to %s\n", o.outPath)
 	}
 
 	if haveSLO {
@@ -219,7 +206,6 @@ func main() {
 	flag.IntVar(&o.genomeLen, "genome", o.genomeLen, "synthetic reference length the workload is drawn from")
 	flag.StringVar(&o.refName, "ref-name", o.refName, "name the workload reference is uploaded under")
 	flag.StringVar(&o.sloPath, "slo", "", "SLO file with per-scenario ceilings; any violation exits 1")
-	flag.StringVar(&o.outPath, "out", "", "write (or merge into) a BENCH_*.json report with the schema-3 serving section")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

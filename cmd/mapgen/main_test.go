@@ -123,36 +123,3 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		t.Fatal("empty reference accepted")
 	}
 }
-
-func TestLoadReadsFormats(t *testing.T) {
-	dir := t.TempDir()
-	_, fqPath, reads, _ := writeTestData(t, dir)
-	fq, err := readsim.LoadReadsFile(fqPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fq) != len(reads) {
-		t.Fatalf("fq=%d want %d", len(fq), len(reads))
-	}
-	// FASTA branch.
-	faPath := filepath.Join(dir, "reads.fa")
-	recs := make([]genome.Record, len(reads))
-	for i, r := range reads {
-		recs[i] = genome.Record{Name: r.Name, Seq: r.Seq}
-	}
-	ff, err := os.Create(faPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := genome.WriteFASTA(ff, recs); err != nil {
-		t.Fatal(err)
-	}
-	ff.Close()
-	fa, err := readsim.LoadReadsFile(faPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fa) != len(reads) || !bytes.Equal(fa[0].Seq, fq[0].Seq) {
-		t.Fatal("formats disagree")
-	}
-}

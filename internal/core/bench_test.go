@@ -14,8 +14,9 @@ package core
 //
 //	go test -bench 'BenchmarkWindowKernel|BenchmarkPipelineKernel' ./internal/core
 //
-// The root-level TestBenchJSON harness replays these under GOMAXPROCS
-// 1/2/4 and records the results as the schema-4 "kernel" section.
+// The per-layer numbers for the kernel in real workloads (ns/window,
+// DP bytes per window, scaling across GOMAXPROCS) come from the
+// benchmark/ harness's core.* and engine.scaling_eff metrics.
 
 import (
 	"math/rand"

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -184,5 +185,32 @@ func TestE5BackendRuns(t *testing.T) {
 	}
 	if _, err := E5Backend(context.Background(), w, "tpu", 2); err == nil {
 		t.Fatal("unknown backend accepted")
+	}
+}
+
+// TestA3ShortReadsRuns smoke-runs the short-read CPU comparison: one row
+// per CPU aligner, each with a positive, finite measured rate (pairs/s
+// is computed from the unrounded elapsed time, so it is positive and
+// finite exactly when the time is).
+func TestA3ShortReadsRuns(t *testing.T) {
+	tab, err := A3ShortReads(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.ID != "A3" {
+		t.Fatalf("ID %q, want A3", tab.ID)
+	}
+	aligners := CPUAligners(false)
+	if len(tab.Rows) != len(aligners) {
+		t.Fatalf("rows %d, want one per CPU aligner (%d)", len(tab.Rows), len(aligners))
+	}
+	for i, row := range tab.Rows {
+		if row[0] != aligners[i].Name {
+			t.Fatalf("row %d is %q, want %q", i, row[0], aligners[i].Name)
+		}
+		rate, err := strconv.ParseFloat(row[2], 64)
+		if err != nil || rate <= 0 || math.IsInf(rate, 0) {
+			t.Fatalf("%s: pairs/s %q is not a positive finite rate", row[0], row[2])
+		}
 	}
 }

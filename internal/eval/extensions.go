@@ -17,7 +17,8 @@ import (
 
 // Extension experiments beyond the paper's reported numbers: accuracy
 // against ground truth (A4), GPU occupancy sensitivity (A5), and device
-// portability (A6). These probe the design choices DESIGN.md calls out.
+// portability (A6). These probe the design choices behind the paper's
+// numbers.
 
 // A4Accuracy compares each aligner's realized alignment cost against the
 // exact edit distance (Edlib's answer on the GenASM-consumed span), so the

@@ -1,8 +1,7 @@
 // Package eval reproduces the paper's evaluation end to end: it builds the
 // workload (synthetic genome -> PBSIM2-like reads -> minimap2-like candidate
 // locations with -P semantics) and regenerates every number the paper
-// reports as a table (see DESIGN.md's experiment index: E1, E2, E3, E4 and
-// the A1-A3 ablations).
+// reports as a table (E1, E2, E3, E4 and the A1-A3 ablations).
 package eval
 
 import (

@@ -1,7 +1,7 @@
 // Package gpu models the execution of data-parallel kernels on a SIMT GPU.
 //
 // Go has no CUDA path, so the paper's A6000 experiments run on this
-// simulator instead (see DESIGN.md "Substitutions"). The model captures the
+// simulator instead (see docs/ARCHITECTURE.md). The model captures the
 // two effects the paper's GPU results hinge on:
 //
 //  1. Capacity: each thread block declares how much fast per-SM shared

@@ -83,29 +83,3 @@ func Aggregate(results []*Result) *Result {
 	}
 	return agg
 }
-
-// ClusterRow is one node-count scaling measurement in the BENCH_*.json
-// serving section: the same scenario offered to N upstream nodes, with
-// the cluster-wide achieved throughput.
-type ClusterRow struct {
-	Nodes        int       `json:"nodes"`
-	Scenario     string    `json:"scenario"`
-	AggregateRPS float64   `json:"aggregate_rps"`
-	PerTargetRPS []float64 `json:"per_target_rps"`
-	P99ms        float64   `json:"p99_ms"`
-}
-
-// Row renders a RunTargets outcome as one scaling-table row.
-func Row(perTarget []*Result, aggregate *Result) ClusterRow {
-	row := ClusterRow{
-		Nodes:        len(perTarget),
-		Scenario:     aggregate.Scenario,
-		AggregateRPS: aggregate.AchievedRPS,
-		P99ms:        aggregate.P99ms,
-		PerTargetRPS: make([]float64, len(perTarget)),
-	}
-	for i, r := range perTarget {
-		row.PerTargetRPS[i] = r.AchievedRPS
-	}
-	return row
-}

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -65,10 +64,6 @@ func TestRunTargetsAggregate(t *testing.T) {
 	if agg.P99ms < per[0].P99ms && agg.P99ms < per[1].P99ms {
 		t.Fatal("aggregate p99 must be the per-target maximum")
 	}
-	row := Row(per, agg)
-	if row.Nodes != 2 || row.AggregateRPS != agg.AchievedRPS || len(row.PerTargetRPS) != 2 {
-		t.Fatalf("cluster row %+v", row)
-	}
 }
 
 func TestRunTargetsValidation(t *testing.T) {
@@ -80,15 +75,13 @@ func TestRunTargetsValidation(t *testing.T) {
 	}
 }
 
-// TestClusterBench generates the checked-in node-count scaling evidence
-// (BENCH_6.json): the mixed scenario offered to 1 and then 3 upstream
-// nodes, with the aggregate throughput required to increase. Gated
-// behind GENASM_CLUSTER_BENCH (naming the output file) because the
-// measured phases take tens of seconds.
+// TestClusterBench is the node-count scaling check: the mixed scenario
+// offered to 1 and then 3 upstream nodes, with the aggregate throughput
+// required to increase. Opt-in (set GENASM_CLUSTER_BENCH to any
+// non-empty value) because the measured phases take tens of seconds.
 func TestClusterBench(t *testing.T) {
-	out := os.Getenv("GENASM_CLUSTER_BENCH")
-	if out == "" {
-		t.Skip("set GENASM_CLUSTER_BENCH=<path> to run the cluster scaling bench")
+	if os.Getenv("GENASM_CLUSTER_BENCH") == "" {
+		t.Skip("set GENASM_CLUSTER_BENCH=1 to run the cluster scaling bench")
 	}
 	urls := clusterNodes(t, 3)
 	cfg := Config{
@@ -98,31 +91,20 @@ func TestClusterBench(t *testing.T) {
 		Duration:  8 * time.Second,
 		GenomeLen: 80_000,
 	}
-	var rows []ClusterRow
-	var scenarios, perTarget []*Result
+	var aggs []*Result
 	for _, nodes := range []int{1, 3} {
 		per, agg, err := RunTargets(context.Background(), cfg, urls[:nodes])
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, Row(per, agg))
-		perTarget = append(perTarget, per...)
-		scenarios = append(scenarios, agg)
+		aggs = append(aggs, agg)
+		for _, r := range per {
+			t.Logf("nodes=%d %s %.1f rps (p99 %.2fms)", nodes, r.Target, r.AchievedRPS, r.P99ms)
+		}
 		t.Logf("nodes=%d aggregate %.1f rps (p99 %.2fms)", nodes, agg.AchievedRPS, agg.P99ms)
 	}
-	if rows[1].AggregateRPS <= rows[0].AggregateRPS {
+	if aggs[1].AchievedRPS <= aggs[0].AchievedRPS {
 		t.Fatalf("3-node aggregate %.1f rps did not exceed 1-node %.1f rps",
-			rows[1].AggregateRPS, rows[0].AggregateRPS)
+			aggs[1].AchievedRPS, aggs[0].AchievedRPS)
 	}
-	rep := Report{
-		Target:    fmt.Sprintf("in-process cluster (%d nodes max)", len(urls)),
-		Seed:      cfg.Seed,
-		Scenarios: scenarios,
-		PerTarget: perTarget,
-		Cluster:   rows,
-	}
-	if err := WriteBench(out, rep); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

@@ -71,42 +71,42 @@ func (c *Config) fillDefaults() {
 // phase (nearest-rank); ServerDelta is the server's own /metrics
 // counter movement across the same phase.
 type Result struct {
-	Scenario string `json:"scenario"`
-	Seed     int64  `json:"seed"`
+	Scenario string
+	Seed     int64
 	// Target is the base URL this result measured (multi-target runs;
 	// "aggregate" for the cross-target sum, empty for single-target runs).
-	Target string `json:"target,omitempty"`
+	Target string
 	// OfferedRPS is the configured open-loop rate; AchievedRPS is what
 	// the measure phase actually completed per second.
-	OfferedRPS  float64 `json:"offered_rps"`
-	AchievedRPS float64 `json:"achieved_rps"`
+	OfferedRPS  float64
+	AchievedRPS float64
 	// Requests counts measure-phase requests that got any HTTP response;
 	// Errors those with transport failures or statuses outside the
 	// request's allowance; Status429 backpressure rejections (never
 	// errors); Dropped client-side sheds at the concurrency cap.
-	Requests  int `json:"requests"`
-	Errors    int `json:"errors"`
-	Status429 int `json:"status_429"`
-	Dropped   int `json:"dropped"`
+	Requests  int
+	Errors    int
+	Status429 int
+	Dropped   int
 	// CacheMismatches counts cache-keyed responses that were not
 	// bit-identical to the first measure-phase response under the same
 	// key — any nonzero value means the result cache served a wrong or
 	// torn entry.
-	CacheMismatches int `json:"cache_mismatches"`
+	CacheMismatches int
 	// CacheChecked counts the cache-keyed 200 responses compared.
-	CacheChecked int `json:"cache_checked"`
+	CacheChecked int
 
-	P50ms float64 `json:"p50_ms"`
-	P95ms float64 `json:"p95_ms"`
-	P99ms float64 `json:"p99_ms"`
+	P50ms float64
+	P95ms float64
+	P99ms float64
 
-	MeasureSeconds float64     `json:"measure_seconds"`
-	StatusCounts   map[int]int `json:"status_counts"`
-	LastError      string      `json:"last_error,omitempty"`
+	MeasureSeconds float64
+	StatusCounts   map[int]int
+	LastError      string
 
 	// ServerDelta is the /metrics JSON movement across the measure
 	// phase (nil when scraping failed).
-	ServerDelta *server.Scrape `json:"server_delta,omitempty"`
+	ServerDelta *server.Scrape
 }
 
 // ErrorRate returns Errors/Requests (0 when no requests completed).

@@ -23,9 +23,8 @@
 // Every scenario's request sequence is derived deterministically from
 // its seed (internal/readsim drives the read generation), so two runs
 // with the same seed offer the exact same byte-for-byte request stream
-// and results are comparable across PRs. Results feed the BENCH_*.json
-// schema-3 "serving" section and the SLO regression gate (see slo.go
-// and cmd/genasm-loadgen).
+// and results are comparable across runs. Results feed the SLO
+// regression gate (see slo.go and cmd/genasm-loadgen).
 package loadgen
 
 import (

@@ -4,12 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
 	"sort"
-
-	"genasm/internal/cliutil"
 )
 
 // SLO declares per-scenario ceilings. Every field is optional (nil =
@@ -125,51 +121,4 @@ func (f SLOFile) Check(results []*Result) []Violation {
 		return out[i].Rule < out[j].Rule
 	})
 	return out
-}
-
-// Report is the BENCH_*.json schema-3 "serving" section: one loadgen
-// run's scenario results plus enough context to compare across PRs.
-type Report struct {
-	Target    string    `json:"target"`
-	Seed      int64     `json:"seed"`
-	Scenarios []*Result `json:"scenarios"`
-	// PerTarget holds the per-node results of a multi-target run
-	// (RunTargets); Scenarios then carries the aggregates.
-	PerTarget []*Result `json:"per_target,omitempty"`
-	// Cluster is the node-count scaling table: the same scenario offered
-	// to growing upstream sets.
-	Cluster []ClusterRow `json:"cluster,omitempty"`
-}
-
-// WriteBench writes (or merges into) a BENCH_*.json report at path:
-// when the file already holds a microbenchmark report, the serving
-// section is added and the schema stamped 3; otherwise a serving-only
-// schema-3 report is created. The write is atomic.
-func WriteBench(path string, rep Report) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("loadgen: existing %s is not JSON: %w", path, err)
-		}
-	}
-	// Keep a newer schema stamped by the caller; only raise older docs to
-	// the version that introduced the serving section.
-	if v, ok := doc["schema"].(float64); !ok || v < 3 {
-		doc["schema"] = 3
-	}
-	if _, ok := doc["go"]; !ok {
-		doc["go"] = runtime.Version()
-	}
-	if _, ok := doc["gomaxprocs"]; !ok {
-		doc["gomaxprocs"] = runtime.GOMAXPROCS(0)
-	}
-	doc["serving"] = rep
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return cliutil.WriteAtomic(path, func(w io.Writer) error {
-		_, werr := w.Write(append(out, '\n'))
-		return werr
-	})
 }

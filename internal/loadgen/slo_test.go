@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -124,80 +123,6 @@ func TestSLOCheck(t *testing.T) {
 		v := f.Check([]*Result{empty})
 		if len(v) != 1 || v[0].Rule != "no_requests_measured" {
 			t.Fatalf("violations %v, want one no_requests_measured", v)
-		}
-	})
-}
-
-// TestWriteBenchMerge pins the schema-3 merge contract: writing the
-// serving section into an existing microbenchmark report keeps the
-// benchmarks and stamps schema 3; writing to a fresh path creates a
-// serving-only report.
-func TestWriteBenchMerge(t *testing.T) {
-	dir := t.TempDir()
-	rep := Report{Target: "http://test", Seed: 7, Scenarios: []*Result{
-		{Scenario: ScenarioBaseline, Requests: 10, P99ms: 12.5},
-	}}
-
-	t.Run("merge into existing", func(t *testing.T) {
-		path := filepath.Join(dir, "BENCH.json")
-		seed := `{"schema": 2, "go": "go-prior", "benchmarks": [{"name": "Align"}]}`
-		if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteBench(path, rep); err != nil {
-			t.Fatal(err)
-		}
-		var doc map[string]any
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Fatal(err)
-		}
-		if doc["schema"] != float64(3) {
-			t.Fatalf("schema = %v, want 3", doc["schema"])
-		}
-		if doc["go"] != "go-prior" {
-			t.Fatalf("merge clobbered existing go field: %v", doc["go"])
-		}
-		if _, ok := doc["benchmarks"]; !ok {
-			t.Fatal("merge dropped the benchmarks section")
-		}
-		serving, ok := doc["serving"].(map[string]any)
-		if !ok {
-			t.Fatalf("no serving section: %v", doc)
-		}
-		if serving["target"] != "http://test" {
-			t.Fatalf("serving target = %v", serving["target"])
-		}
-	})
-
-	t.Run("fresh file", func(t *testing.T) {
-		path := filepath.Join(dir, "FRESH.json")
-		if err := WriteBench(path, rep); err != nil {
-			t.Fatal(err)
-		}
-		var doc map[string]any
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Fatal(err)
-		}
-		if doc["schema"] != float64(3) || doc["serving"] == nil || doc["go"] == nil {
-			t.Fatalf("fresh report incomplete: %v", doc)
-		}
-	})
-
-	t.Run("corrupt existing rejected", func(t *testing.T) {
-		path := filepath.Join(dir, "CORRUPT.json")
-		if err := os.WriteFile(path, []byte("{half"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteBench(path, rep); err == nil {
-			t.Fatal("corrupt existing report did not error")
 		}
 	})
 }
