@@ -6,7 +6,7 @@ import (
 )
 
 // Steady-state allocation regression tests. The kernels keep all DP
-// state in per-aligner scratch (scratch64, mwScratch), so after warm-up
+// state in per-aligner scratch (tableScratch, mwScratch), so after warm-up
 // an alignment should allocate only the result cigar — never automaton
 // rows, masks, or table entries. These tests pin measured upper bounds;
 // a regression here means a scratch-reuse path was broken (for example

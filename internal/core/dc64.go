@@ -1,12 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"genasm/internal/cigar"
-	"genasm/internal/dna"
-	"genasm/internal/stats"
-)
+import "genasm/internal/dna"
 
 // masks64 holds the Bitap pattern-match bitmasks of one (reversed) pattern
 // window for the single-word fast path (m <= 64). Bits are 0-active: bit j
@@ -49,10 +43,10 @@ func (mk *masks64) initRow(d int) uint64 {
 	return r | mk.high
 }
 
-// dc64 runs the improved GenASM distance calculation for one window:
-// reversed pattern masks mk against reversed text tRev (base codes), with
-// error budget k. It returns the stored table and the window distance d*,
-// or ok=false if the distance exceeds k.
+// dc64 runs the improved GenASM distance calculation for the loaded window
+// at error budget k on the single-word fast path (m <= 64): pattern masks
+// w.mk64 against the reversed text. It returns the stored table and the
+// window distance d*, or ok=false if the distance exceeds k.
 //
 // The loop is row-major over error levels so that early termination can
 // skip every row above the first solved one. In entry mode (SENE) the
@@ -61,37 +55,20 @@ func (mk *masks64) initRow(d int) uint64 {
 // each text position costs exactly one load and one store of DP state.
 // Edge mode keeps separate working rows, since its stored vectors are the
 // four edges rather than the ANDed entries.
-func dc64(mk *masks64, tRev []byte, k int, cfg Config, scratch *tableScratch, c *stats.Counters) (*table, int, bool) {
+func (w *windowAligner) dc64(k int) (*table, int, bool) {
+	mk, tRev, c := &w.mk64, w.tRevBuf, w.counters
 	m, n := mk.m, len(tRev)
-	t := &scratch.tbl
-	*t = table{
-		m: m, n: n, k: k,
-		entries: !cfg.DisableSENE,
-		banded:  !cfg.DisableDENT && 2*k+3 <= 64,
-		wpe:     1,
-		stride:  1,
-		rows:    scratch.rows[:0],
-	}
-	t.storeBytes = 8
-	entryBits := uint64(64)
-	if t.banded {
-		t.bandB = 2*k + 3
-		entryBits = uint64(t.bandB)
-		t.storeBytes = uint64(t.bandB+7) / 8
-	}
-	if !t.entries {
-		t.stride = 4
-	}
+	t := w.ts.reset(m, n, k, w.cfg)
 
 	high := mk.high
 	var rowPrev, rowCur []uint64
 	if !t.entries {
-		rowPrev = scratch.row(0, n+1)
-		rowCur = scratch.row(1, n+1)
+		rowPrev = w.ts.row(0, n+1)
+		rowCur = w.ts.row(1, n+1)
 	}
 	solved := -1
 	for d := 0; d <= k; d++ {
-		drow := scratch.tableRow(d, t.stride*n)
+		drow := w.ts.tableRow(d, t.stride*n)
 		var last uint64
 		if t.entries {
 			prev := mk.initRow(d)
@@ -113,8 +90,6 @@ func dc64(mk *masks64, tRev []byte, k int, cfg Config, scratch *tableScratch, c 
 				}
 			}
 			last = prev
-			c.AddWrite(uint64(n), t.storeBytes)
-			c.AddFootprint(uint64(n) * entryBits)
 		} else {
 			prev := mk.initRow(d)
 			rowCur[0] = prev
@@ -137,106 +112,15 @@ func dc64(mk *masks64, tRev []byte, k int, cfg Config, scratch *tableScratch, c 
 				prev = cur
 			}
 			last = prev
-			c.AddWrite(uint64(4*n), 8)
-			c.AddFootprint(uint64(4*n) * 64)
 			rowPrev, rowCur = rowCur, rowPrev
 		}
-		//lint:allow hotalloc appends into the scratch-backed rows slice; amortized to zero across windows
-		t.rows = append(t.rows, drow)
+		t.addRow(drow, c)
 		if solved < 0 && last>>uint(m-1)&1 == 0 {
 			solved = d
-			if !cfg.DisableET {
-				c.AddRows(uint64(d+1), uint64(k-d))
-				scratch.rows = t.rows
-				return t, d, true
+			if !w.cfg.DisableET {
+				break
 			}
 		}
 	}
-	scratch.rows = t.rows
-	c.AddRows(uint64(len(t.rows)), 0)
-	if solved >= 0 {
-		return t, solved, true
-	}
-	return t, 0, false
-}
-
-// traceback64 walks the stored table from the solved state (text fully
-// processed, whole pattern matched, error level d*) back to the start of
-// the pattern, emitting alignment operations. Because both window strings
-// are reversed, the operations come out in forward order of the original
-// window. It returns the alignment and the number of text characters the
-// pattern consumed.
-//
-// Edge priority is match, substitution, deletion (pattern-only: a query
-// insertion in CIGAR terms), insertion (text-only: a query deletion). Every
-// implementation in this repository uses the same order, so ablated and
-// unimproved configurations produce byte-identical alignments. Match runs
-// are followed to their end before emitting, so the common case (long
-// stretches of agreement between pattern and text) costs one run-length
-// append instead of one per base.
-func traceback64(t *table, mk *masks64, tRev []byte, dStar int, c *stats.Counters) (cigar.Cigar, int, error) {
-	cg := make(cigar.Cigar, 0, 2*dStar+2) // <= 2*d*+1 runs: each edit breaks at most one match run
-	i, j, d := t.n, t.m-1, dStar
-	for j >= 0 {
-		if t.entries {
-			if i >= 1 && mk.pm[tRev[i-1]]>>uint(j)&1 == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
-				run := 1
-				i, j = i-1, j-1
-				for i >= 1 && j >= 0 && mk.pm[tRev[i-1]]>>uint(j)&1 == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
-					run++
-					i, j = i-1, j-1
-				}
-				cg = cg.Append(cigar.Match, run)
-				continue
-			}
-			if d >= 1 {
-				if i >= 1 && t.entryBit(d-1, i-1, j-1, c) == 0 {
-					cg = cg.Append(cigar.Mismatch, 1)
-					i, j, d = i-1, j-1, d-1
-					continue
-				}
-				if t.entryBit(d-1, i, j-1, c) == 0 {
-					cg = cg.Append(cigar.Ins, 1)
-					j, d = j-1, d-1
-					continue
-				}
-				if i >= 1 && t.entryBit(d-1, i-1, j, c) == 0 {
-					cg = cg.Append(cigar.Del, 1)
-					i, d = i-1, d-1
-					continue
-				}
-			}
-		} else {
-			if i >= 1 && t.edgeBit(edgeM, d, i, j, c) == 0 {
-				cg = cg.Append(cigar.Match, 1)
-				i, j = i-1, j-1
-				continue
-			}
-			if d >= 1 {
-				if i >= 1 {
-					if t.edgeBit(edgeS, d, i, j, c) == 0 {
-						cg = cg.Append(cigar.Mismatch, 1)
-						i, j, d = i-1, j-1, d-1
-						continue
-					}
-					if t.edgeBit(edgeD, d, i, j, c) == 0 {
-						cg = cg.Append(cigar.Ins, 1)
-						j, d = j-1, d-1
-						continue
-					}
-					if t.edgeBit(edgeI, d, i, j, c) == 0 {
-						cg = cg.Append(cigar.Del, 1)
-						i, d = i-1, d-1
-						continue
-					}
-				} else if j < d { // initial column: deletions only
-					cg = cg.Append(cigar.Ins, 1)
-					j, d = j-1, d-1
-					continue
-				}
-			}
-		}
-		return nil, 0, fmt.Errorf("core: traceback stuck at i=%d j=%d d=%d (table %dx%d k=%d)", i, j, d, t.n, t.m, t.k)
-	}
-	return cg, t.n - i, nil
+	return t.done(solved, c)
 }

@@ -1,26 +1,13 @@
 package core
 
-import (
-	"fmt"
+import "genasm/internal/dna"
 
-	"genasm/internal/cigar"
-	"genasm/internal/dna"
-)
-
-// Multi-word window path: the same improved GenASM algorithm for windows
-// wider than one machine word (64 < W). An m-bit automaton state is a
-// little-endian []uint64 of words(m) words (bit j in word j/64), with the
-// bits above m in the last word kept clear; the structure of the distance
-// calculation, early termination and traceback is identical to the
-// single-word fast path in dc64.go, and both paths share the flat
-// stored-table layout in table.go.
-//
-// DENT here is real at the storage level: when the (2k+3)-bit diagonal band
-// needs fewer words than the full automaton state, only the band words are
-// extracted (extract64) and stored per entry, so the stored working set
-// shrinks from wpe = words(m) words per entry to ceil((2k+3)/64) — one word
-// for every default-band configuration. The traceback indexes into the band
-// through table.entryBit's packed path.
+// Multi-word window path: the same improved GenASM distance calculation for
+// windows wider than one machine word (64 < W). An m-bit automaton state is
+// a little-endian []uint64 of words(m) words (bit j in word j/64), with the
+// bits above m in the last word kept clear. Only the distance loops differ
+// from the single-word fast path in dc64.go: the stored-table layout, early
+// termination accounting and traceback are the shared ones in table.go.
 
 // words returns the number of uint64 words holding an m-bit state.
 func words(m int) int { return (m + 63) / 64 }
@@ -126,36 +113,16 @@ func (s *mwScratch) prepare(m, n int) {
 	ensure(&s.tI, m)
 }
 
-// alignWindowMW aligns the reversed window buffers of w at error budget k.
-// The masks in w.mw.mk must already be built for the current pattern.
-func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error) {
-	mk := &w.mw.mk
-	m, n := mk.m, len(w.tRevBuf)
-	cfg := w.cfg
+// dcMW is dc64 for multi-word states: the distance calculation for the
+// loaded window at error budget k, with pattern masks w.mw.mk, returning
+// the stored table and the window distance d* (ok=false if it exceeds k).
+// The recurrence runs on full automaton rows in w.mw; the stored table
+// receives what its layout keeps of each entry.
+func (w *windowAligner) dcMW(k int) (*table, int, bool) {
+	mk, tRev, c := &w.mw.mk, w.tRevBuf, w.counters
+	m, n := mk.m, len(tRev)
 	wpe, top := words(m), topMask(m)
-	t := &w.ts.tbl
-	*t = table{
-		m: m, n: n, k: k,
-		entries: !cfg.DisableSENE,
-		banded:  !cfg.DisableDENT,
-		wpe:     wpe,
-		rows:    w.ts.rows[:0],
-	}
-	entryBits := uint64(m)
-	t.stride = wpe
-	t.storeBytes = 8 * uint64(wpe)
-	if t.banded {
-		t.bandB = 2*k + 3
-		entryBits = uint64(t.bandB)
-		t.storeBytes = uint64(t.bandB+7) / 8
-		if bw := (t.bandB + 63) / 64; bw < wpe {
-			t.packed = true
-			t.stride = bw
-		}
-	}
-	if !t.entries {
-		t.stride = 4 * wpe
-	}
+	t := w.ts.reset(m, n, k, w.cfg)
 
 	w.mw.prepare(m, n)
 	rowPrev, rowCur := w.mw.rowPrev, w.mw.rowCur
@@ -169,7 +136,7 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 			// computes M & S & D & I with the shift carries propagated
 			// in registers, instead of four temporary-vector passes.
 			for i := 1; i <= n; i++ {
-				pmw := mk.pm[w.tRevBuf[i-1]]
+				pmw := mk.pm[tRev[i-1]]
 				prevW := rowCur[i-1]
 				curW := rowCur[i]
 				if d == 0 {
@@ -200,16 +167,10 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 					copy(dst, curW)
 				}
 			}
-			if t.banded {
-				w.counters.AddWrite(uint64(n), t.storeBytes)
-			} else {
-				w.counters.AddWrite(uint64(n*wpe), 8)
-			}
-			w.counters.AddFootprint(uint64(n) * entryBits)
 		} else {
 			tM, tS, tD, tI := w.mw.tM, w.mw.tS, w.mw.tD, w.mw.tI
 			for i := 1; i <= n; i++ {
-				pmt := mk.pm[w.tRevBuf[i-1]]
+				pmt := mk.pm[tRev[i-1]]
 				shl1(tM, rowCur[i-1], m)
 				for x := range tM {
 					tM[x] |= pmt[x]
@@ -237,95 +198,15 @@ func (w *windowAligner) alignWindowMW(k int) (int, cigar.Cigar, int, bool, error
 					copy(e[edgeI*wpe:(edgeI+1)*wpe], tI)
 				}
 			}
-			w.counters.AddWrite(uint64(4*n*wpe), 8)
-			w.counters.AddFootprint(uint64(n) * 4 * uint64(m))
 		}
-		//lint:allow hotalloc appends into the scratch-backed rows slice; amortized to zero across windows
-		t.rows = append(t.rows, drow)
+		t.addRow(drow, c)
 		if solved < 0 && bit(rowCur[n], m-1) == 0 {
 			solved = d
-			if !cfg.DisableET {
-				w.counters.AddRows(uint64(d+1), uint64(k-d))
-				w.ts.rows = t.rows
-				cg, used, err := w.tracebackMW(t, mk, d)
-				return d, cg, used, true, err
+			if !w.cfg.DisableET {
+				break
 			}
 		}
 		rowPrev, rowCur = rowCur, rowPrev
 	}
-	w.ts.rows = t.rows
-	w.counters.AddRows(uint64(len(t.rows)), 0)
-	if solved < 0 {
-		return 0, nil, 0, false, nil
-	}
-	cg, used, err := w.tracebackMW(t, mk, solved)
-	return solved, cg, used, true, err
-}
-
-func (w *windowAligner) tracebackMW(t *table, mk *masksMW, dStar int) (cigar.Cigar, int, error) {
-	cg := make(cigar.Cigar, 0, 2*dStar+2)
-	i, j, d := t.n, t.m-1, dStar
-	c := w.counters
-	for j >= 0 {
-		if t.entries {
-			if i >= 1 && bit(mk.pm[w.tRevBuf[i-1]], j) == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
-				run := 1
-				i, j = i-1, j-1
-				for i >= 1 && j >= 0 && bit(mk.pm[w.tRevBuf[i-1]], j) == 0 && t.entryBit(d, i-1, j-1, c) == 0 {
-					run++
-					i, j = i-1, j-1
-				}
-				cg = cg.Append(cigar.Match, run)
-				continue
-			}
-			if d >= 1 {
-				if i >= 1 && t.entryBit(d-1, i-1, j-1, c) == 0 {
-					cg = cg.Append(cigar.Mismatch, 1)
-					i, j, d = i-1, j-1, d-1
-					continue
-				}
-				if t.entryBit(d-1, i, j-1, c) == 0 {
-					cg = cg.Append(cigar.Ins, 1)
-					j, d = j-1, d-1
-					continue
-				}
-				if i >= 1 && t.entryBit(d-1, i-1, j, c) == 0 {
-					cg = cg.Append(cigar.Del, 1)
-					i, d = i-1, d-1
-					continue
-				}
-			}
-		} else {
-			if i >= 1 && t.edgeBit(edgeM, d, i, j, c) == 0 {
-				cg = cg.Append(cigar.Match, 1)
-				i, j = i-1, j-1
-				continue
-			}
-			if d >= 1 {
-				if i >= 1 {
-					if t.edgeBit(edgeS, d, i, j, c) == 0 {
-						cg = cg.Append(cigar.Mismatch, 1)
-						i, j, d = i-1, j-1, d-1
-						continue
-					}
-					if t.edgeBit(edgeD, d, i, j, c) == 0 {
-						cg = cg.Append(cigar.Ins, 1)
-						j, d = j-1, d-1
-						continue
-					}
-					if t.edgeBit(edgeI, d, i, j, c) == 0 {
-						cg = cg.Append(cigar.Del, 1)
-						i, d = i-1, d-1
-						continue
-					}
-				} else if j < d {
-					cg = cg.Append(cigar.Ins, 1)
-					j, d = j-1, d-1
-					continue
-				}
-			}
-		}
-		return nil, 0, fmt.Errorf("core: multiword traceback stuck at i=%d j=%d d=%d", i, j, d)
-	}
-	return cg, t.n - i, nil
+	return t.done(solved, c)
 }

@@ -116,7 +116,7 @@ func (a *Aligner) AlignEncoded(query, ref []byte) (Result, error) {
 }
 
 // AlignWindow exposes single-window alignment (base codes, forward
-// orientation); used by tests, the GPU kernels and the ablation benches.
+// orientation); used by tests, the kernel benchmarks and FuzzWindowAlign.
 func (a *Aligner) AlignWindow(p, t []byte) (WindowResult, error) {
 	return a.wa.alignWindow(p, t)
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"genasm/internal/dna"
+	"genasm/internal/stats"
 	"genasm/internal/swg"
 )
 
@@ -53,6 +56,53 @@ func TestQuickTracebackCostEqualsDistance(t *testing.T) {
 		return wr.Cigar.Check(decode(p), decode(tx[:wr.TextUsed])) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickKernelsShareOneTable pins the one stored-table contract of the
+// two word widths: on windows of at most 64 bases, the multi-word kernel run
+// beside dc64 — for all six SENE/DENT/ET ablations and every budget k in
+// 1..m — returns a byte-identical WindowResult (or the same "over budget")
+// and charges identical counters, per-window stats included.
+func TestQuickKernelsShareOneTable(t *testing.T) {
+	cfgs := ablations(Config{W: 64, O: 0, InitialK: 1})
+	var single, wide [6]windowAligner
+	var cs, cw stats.Counters
+	for i, cfg := range cfgs {
+		single[i] = windowAligner{cfg: cfg, counters: &cs}
+		wide[i] = windowAligner{cfg: cfg, counters: &cw}
+	}
+	f := func(seed int64, nAt uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := randCodes(rng, 1+rng.Intn(64))
+		tx := randCodes(rng, rng.Intn(81))
+		if rng.Intn(2) == 0 {
+			tx = mutateCodes(rng, p, 0.2)
+		}
+		if nAt&1 == 1 && len(tx) > 0 {
+			// N matches nothing, not even N.
+			p[int(nAt)%len(p)] = dna.N
+			tx[int(nAt)%len(tx)] = dna.N
+		}
+		for i := range cfgs {
+			single[i].load(p, tx, true)
+			wide[i].load(p, tx, false)
+			for k := 1; k <= len(p); k++ {
+				cs = stats.Counters{TrackWindows: true}
+				cw = stats.Counters{TrackWindows: true}
+				rs, okS, errS := single[i].attempt(k)
+				rw, okW, errW := wide[i].attempt(k)
+				if errS != nil || errW != nil || okS != okW || !reflect.DeepEqual(rs, rw) || !reflect.DeepEqual(cs, cw) {
+					t.Logf("cfg %+v m=%d n=%d k=%d:\n single %+v ok=%v err=%v %+v\n wide   %+v ok=%v err=%v %+v",
+						cfgs[i], len(p), len(tx), k, rs, okS, errS, cs, rw, okW, errW, cw)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,28 +1,39 @@
 package core
 
-import "genasm/internal/stats"
+import (
+	"fmt"
+
+	"genasm/internal/cigar"
+	"genasm/internal/dna"
+	"genasm/internal/stats"
+)
 
 // table is the stored DP working set of one window: everything the traceback
-// is allowed to read, laid out as flat little-endian uint64 rows shared by
-// the single-word (m <= 64) and multi-word (m > 64) kernels. Depending on
-// the configuration a row stores per text position i in 1..n either the
-// entry bitvector R[d][i] (SENE), a packed (2k+3)-bit diagonal band of it
-// (SENE+DENT), or the four edge bitvectors match/substitution/deletion/
+// is allowed to read, laid out as flat little-endian uint64 rows, one per
+// error level. Both kernels — single-word (m <= 64, dc64.go) and multi-word
+// (multiword.go) — fill the same layout, chosen once by tableScratch.reset,
+// and one traceback reads it. A row stores per text position i in 1..n
+// either the entry bitvector R[d][i] (SENE), a (2k+3)-bit diagonal band of
+// it (SENE+DENT), or the four edge bitvectors match/substitution/deletion/
 // insertion (neither; the unimproved layout).
 //
-// Layouts by mode, all within rows[d] (stride words per entry):
+// With wpe = words(m) words per automaton state, the layout rule is:
+//
+//   - banded iff DENT is on and the band fits the state: 2k+3 <= 64*wpe.
+//     Reads outside the band answer "inactive", and each entry is charged
+//     the band's bits and (2k+3+7)/8 bytes per access, as a packed
+//     hardware implementation would allocate. A wider band is stored and
+//     charged unbanded: the 64*stride bits actually stored.
+//   - packed iff banded and the band needs fewer words than the state:
+//     only the band words are extracted (extract64) and stored, cutting
+//     the stored working set ~wpe/bandWords x. A single-word state is
+//     never packed; its band is enforced at read time.
+//
+// Stored words per entry (stride), all within rows[d]:
 //
 //	entries, unpacked:  stride = wpe        full R[d][i] words
 //	entries, packed:    stride = bandWords  bits [bandLo(i), bandLo(i)+bandB)
 //	edges:              stride = 4*wpe      M, S, D, I, wpe words each
-//
-// The single-word path always stores its one full automaton word (packing a
-// sub-word band would not shrink a uint64 slot); DENT there is enforced at
-// read time — out-of-band queries answer "inactive" — and in the footprint
-// accounting, which charges only the band bits, as a packed hardware
-// implementation would allocate. The multi-word path packs for real: when
-// the band needs fewer words than the full state, only the band words are
-// extracted and stored, cutting the stored working set ~wpe/bandWords x.
 type table struct {
 	m, n, k int
 	entries bool // SENE: entry storage vs edge storage
@@ -30,17 +41,40 @@ type table struct {
 	packed  bool // banded storage physically holds band words (bandWords < wpe)
 	bandB   int  // band width in bits when banded
 	wpe     int  // words per full automaton state: words(m), 1 for m <= 64
-	stride  int  // stored words per entry (entries mode) or 4*wpe (edge mode)
-	// storeBytes is the size of one stored entry as packed in memory:
-	// banded entries round the band up to whole bytes, full entries are
-	// wpe 64-bit words.
+	stride  int  // stored words per entry
+	// storeBytes is one stored entry's size as packed in memory: the band
+	// rounded up to whole bytes, or wpe 64-bit words.
 	storeBytes uint64
+	entryBits  uint64 // footprint charged per stored entry
 	rows       [][]uint64
 }
 
 // bandLo returns the lowest pattern bit index readable for text position i:
 // the traceback diagonal at i minus the band's half width.
 func (t *table) bandLo(i int) int { return (t.m - 1 - t.n + i) - (t.k + 1) }
+
+// addRow appends the finished row drow and charges its stores and footprint:
+// one access of storeBytes per banded entry, one 8-byte access per stored
+// word otherwise.
+func (t *table) addRow(drow []uint64, c *stats.Counters) {
+	t.rows = append(t.rows, drow) // scratch-backed: amortized to zero across windows
+	n := uint64(t.n)
+	if t.banded {
+		c.AddWrite(n, t.storeBytes)
+	} else {
+		c.AddWrite(n*uint64(t.stride), 8)
+	}
+	c.AddFootprint(n * t.entryBits)
+}
+
+// done closes a distance calculation whose first solved row is solved (-1:
+// none within the budget), charging the rows computed and the rows early
+// termination skipped. It returns the kernel's (table, distance, ok).
+func (t *table) done(solved int, c *stats.Counters) (*table, int, bool) {
+	computed := len(t.rows)
+	c.AddRows(uint64(computed), uint64(t.k+1-computed))
+	return t, solved, solved >= 0
+}
 
 // entryBit returns bit j of R[d][i], reading stored state. Queries outside
 // the automaton (j < 0 fresh start, j >= m, i == 0 initial state, or outside
@@ -84,6 +118,87 @@ func (t *table) edgeBit(e, d, i, j int, c *stats.Counters) uint64 {
 	return t.rows[d][(4*(i-1)+e)*t.wpe+j>>6] >> (uint(j) & 63) & 1
 }
 
+// traceback walks the stored table from the solved state (text fully
+// processed, whole pattern matched, error level d*) back to the start of
+// the pattern, emitting alignment operations. Because both window strings
+// (pRev, tRev) are reversed, the operations come out in forward order of
+// the original window. It returns the alignment and the number of text
+// characters the pattern consumed.
+//
+// Edge priority is match, substitution, deletion (pattern-only: a query
+// insertion in CIGAR terms), insertion (text-only: a query deletion). Every
+// implementation in this repository uses the same order, so ablated and
+// unimproved configurations produce byte-identical alignments. In entry
+// mode the match edge is a base comparison — exactly what the pattern
+// masks encode, N matching nothing — and match runs are followed to their
+// end before emitting, so long stretches of agreement between pattern and
+// text cost one run-length append instead of one per base.
+func traceback(t *table, pRev, tRev []byte, dStar int, c *stats.Counters) (cigar.Cigar, int, error) {
+	cg := make(cigar.Cigar, 0, 2*dStar+2) // <= 2*d*+1 runs: each edit breaks at most one match run
+	i, j, d := t.n, t.m-1, dStar
+	for j >= 0 {
+		if t.entries {
+			run := 0
+			for i >= 1 && j >= 0 && pRev[j] == tRev[i-1] && pRev[j] != dna.N && t.entryBit(d, i-1, j-1, c) == 0 {
+				run++
+				i, j = i-1, j-1
+			}
+			if run > 0 {
+				cg = cg.Append(cigar.Match, run)
+				continue
+			}
+			if d >= 1 {
+				if i >= 1 && t.entryBit(d-1, i-1, j-1, c) == 0 {
+					cg = cg.Append(cigar.Mismatch, 1)
+					i, j, d = i-1, j-1, d-1
+					continue
+				}
+				if t.entryBit(d-1, i, j-1, c) == 0 {
+					cg = cg.Append(cigar.Ins, 1)
+					j, d = j-1, d-1
+					continue
+				}
+				if i >= 1 && t.entryBit(d-1, i-1, j, c) == 0 {
+					cg = cg.Append(cigar.Del, 1)
+					i, d = i-1, d-1
+					continue
+				}
+			}
+		} else {
+			if i >= 1 && t.edgeBit(edgeM, d, i, j, c) == 0 {
+				cg = cg.Append(cigar.Match, 1)
+				i, j = i-1, j-1
+				continue
+			}
+			if d >= 1 {
+				if i >= 1 {
+					if t.edgeBit(edgeS, d, i, j, c) == 0 {
+						cg = cg.Append(cigar.Mismatch, 1)
+						i, j, d = i-1, j-1, d-1
+						continue
+					}
+					if t.edgeBit(edgeD, d, i, j, c) == 0 {
+						cg = cg.Append(cigar.Ins, 1)
+						j, d = j-1, d-1
+						continue
+					}
+					if t.edgeBit(edgeI, d, i, j, c) == 0 {
+						cg = cg.Append(cigar.Del, 1)
+						i, d = i-1, d-1
+						continue
+					}
+				} else if j < d { // initial column: deletions only
+					cg = cg.Append(cigar.Ins, 1)
+					j, d = j-1, d-1
+					continue
+				}
+			}
+		}
+		return nil, 0, fmt.Errorf("core: traceback stuck at i=%d j=%d d=%d (table %dx%d k=%d)", i, j, d, t.n, t.m, t.k)
+	}
+	return cg, t.n - i, nil
+}
+
 // extract64 returns the 64 bits [lo, lo+64) of the m-bit automaton state
 // words (little-endian, normalized: bits at and above m are zero in the
 // last word). Bit positions outside [0, m) read as 1, the GenASM "inactive"
@@ -117,9 +232,41 @@ func extractWord(words []uint64, wi, m int) uint64 {
 // window through the single-word kernel). Not safe for concurrent use.
 type tableScratch struct {
 	tbl    table
-	rows   [][]uint64
 	back   [][]uint64  // backing rows, grown on demand
 	rowBuf [2][]uint64 // edge-mode working rows (single-word path)
+}
+
+// reset lays out the stored table for an m x n window at error budget k and
+// returns it empty. It is the one place the layout rule (see table) is
+// decided, for both kernels.
+func (s *tableScratch) reset(m, n, k int, cfg Config) *table {
+	wpe := words(m)
+	t := &s.tbl
+	*t = table{
+		m: m, n: n, k: k,
+		entries:    !cfg.DisableSENE,
+		wpe:        wpe,
+		stride:     wpe,
+		storeBytes: 8 * uint64(wpe),
+		rows:       t.rows[:0],
+	}
+	switch {
+	case !t.entries:
+		t.stride = 4 * wpe
+	case !cfg.DisableDENT && 2*k+3 <= 64*wpe:
+		t.banded = true
+		t.bandB = 2*k + 3
+		t.storeBytes = uint64(t.bandB+7) / 8
+		if bw := (t.bandB + 63) / 64; bw < wpe {
+			t.packed = true
+			t.stride = bw
+		}
+	}
+	t.entryBits = 64 * uint64(t.stride)
+	if t.banded {
+		t.entryBits = uint64(t.bandB)
+	}
+	return t
 }
 
 // row hands out working row `which` with capacity for n words (edge mode

@@ -27,7 +27,9 @@ type WindowResult struct {
 type windowAligner struct {
 	cfg      Config
 	ts       tableScratch
+	mk64     masks64 // single-word pattern masks
 	mw       mwScratch
+	single   bool // the loaded window runs the single-word kernel
 	pRevBuf  []byte
 	tRevBuf  []byte
 	counters *stats.Counters
@@ -42,60 +44,64 @@ func (w *windowAligner) alignWindow(p, t []byte) (WindowResult, error) {
 	if m == 0 {
 		return WindowResult{}, nil
 	}
-	w.pRevBuf = reverseInto(w.pRevBuf[:0], p)
-	w.tRevBuf = reverseInto(w.tRevBuf[:0], t)
-
-	// The pattern masks depend only on the window, not the error budget,
-	// so they are built once and survive budget-doubling retries.
-	single := m <= 64
-	var mk64 masks64
-	if single {
-		mk64 = buildMasks64(w.pRevBuf)
-	} else {
-		w.mw.mk.buildInto(w.pRevBuf)
-	}
-
-	k := w.cfg.InitialK
-	if k > m {
-		k = m
-	}
+	w.load(p, t, m <= 64)
+	k := min(w.cfg.InitialK, m)
 	for {
-		var (
-			d    int
-			cg   cigar.Cigar
-			used int
-			ok   bool
-			err  error
-		)
-		if single {
-			var tbl *table
-			tbl, d, ok = dc64(&mk64, w.tRevBuf, k, w.cfg, &w.ts, w.counters)
-			if ok {
-				cg, used, err = traceback64(tbl, &mk64, w.tRevBuf, d, w.counters)
-			}
-		} else {
-			d, cg, used, ok, err = w.alignWindowMW(k)
-		}
-		w.counters.EndWindow()
-		if err != nil {
-			return WindowResult{}, err
-		}
-		if ok {
-			if got := cg.EditCost(); got != d {
-				return WindowResult{}, fmt.Errorf("core: traceback cost %d != distance %d", got, d)
-			}
-			return WindowResult{Distance: d, Cigar: cg, TextUsed: used}, nil
+		wr, ok, err := w.attempt(k)
+		if ok || err != nil {
+			return wr, err
 		}
 		if k >= m {
 			// Unreachable: at k = m the all-deletion solution always
 			// exists (every bit of R[m] starts active).
 			return WindowResult{}, fmt.Errorf("core: window unsolved at k=m=%d (n=%d)", m, n)
 		}
-		k *= 2
-		if k > m {
-			k = m
-		}
+		k = min(2*k, m)
 	}
+}
+
+// load reverses the window into w's buffers and builds the pattern masks of
+// the single-word (m <= 64) or multi-word kernel. The masks depend only on
+// the window, not the error budget, so they survive budget-doubling retries.
+func (w *windowAligner) load(p, t []byte, single bool) {
+	w.pRevBuf = reverseInto(w.pRevBuf[:0], p)
+	w.tRevBuf = reverseInto(w.tRevBuf[:0], t)
+	w.single = single
+	if single {
+		w.mk64 = buildMasks64(w.pRevBuf)
+	} else {
+		w.mw.mk.buildInto(w.pRevBuf)
+	}
+}
+
+// attempt aligns the loaded window at error budget k: the kernel's distance
+// calculation, then the shared traceback and its cost check. ok=false
+// means the distance exceeds k.
+func (w *windowAligner) attempt(k int) (WindowResult, bool, error) {
+	var (
+		tbl  *table
+		d    int
+		ok   bool
+		cg   cigar.Cigar
+		used int
+		err  error
+	)
+	if w.single {
+		tbl, d, ok = w.dc64(k)
+	} else {
+		tbl, d, ok = w.dcMW(k)
+	}
+	if ok {
+		cg, used, err = traceback(tbl, w.pRevBuf, w.tRevBuf, d, w.counters)
+	}
+	w.counters.EndWindow()
+	switch {
+	case err != nil || !ok:
+		return WindowResult{}, false, err
+	case cg.EditCost() != d:
+		return WindowResult{}, false, fmt.Errorf("core: traceback cost %d != distance %d", cg.EditCost(), d)
+	}
+	return WindowResult{Distance: d, Cigar: cg, TextUsed: used}, true, nil
 }
 
 // reverseInto fills dst with src reversed, reusing dst's backing array

@@ -21,9 +21,10 @@ type Counters struct {
 	// TableReads is the number of word-sized loads from the stored DP
 	// table during traceback.
 	TableReads uint64
-	// WriteBytes/ReadBytes are the same accesses in bytes: banded
-	// entries store as packed 32-bit words, full entries as 64-bit
-	// words, edge-mode entries as four 64-bit words.
+	// WriteBytes/ReadBytes are the same accesses in bytes: an access to
+	// a banded entry moves its (2k+3)-bit band, (2k+3+7)/8 bytes; other
+	// accesses move 64-bit words (a traceback read of a full multi-word
+	// entry is charged the whole entry).
 	WriteBytes uint64
 	ReadBytes  uint64
 	// FootprintBits is the total number of DP-table bits stored for the
