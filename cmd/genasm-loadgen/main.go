@@ -41,8 +41,7 @@ var errSLOViolated = errors.New("SLO violated")
 // options collects every flag so the whole CLI path is testable.
 type options struct {
 	url       string
-	targets   []string // -target: multi-node mode; overrides -url
-	scenarios string   // comma-separated names or "all"
+	scenarios string // comma-separated names or "all"
 	seed      int64
 	warmup    time.Duration
 	duration  time.Duration
@@ -111,13 +110,10 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	}
 
 	var results []*loadgen.Result
-	target := o.url
-	if len(o.targets) > 0 {
-		target = strings.Join(o.targets, ",")
-	}
 	for _, name := range names {
-		fmt.Fprintf(out, "=== %s: warmup %s, measure %s against %s\n", name, o.warmup, o.duration, target)
-		cfg := loadgen.Config{
+		fmt.Fprintf(out, "=== %s: warmup %s, measure %s against %s\n", name, o.warmup, o.duration, o.url)
+		res, err := loadgen.Run(ctx, loadgen.Config{
+			BaseURL:     o.url,
 			Scenario:    name,
 			Seed:        o.seed,
 			Warmup:      o.warmup,
@@ -126,23 +122,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 			Concurrency: o.conc,
 			GenomeLen:   o.genomeLen,
 			RefName:     o.refName,
-		}
-		if len(o.targets) > 0 {
-			// Multi-node mode: the same scenario offered to every target
-			// concurrently; SLOs gate the cluster-wide aggregate.
-			per, agg, err := loadgen.RunTargets(ctx, cfg, o.targets)
-			if err != nil {
-				return fmt.Errorf("scenario %s: %w", name, err)
-			}
-			for _, res := range per {
-				printResult(out, res)
-			}
-			printResult(out, agg)
-			results = append(results, agg)
-			continue
-		}
-		cfg.BaseURL = o.url
-		res, err := loadgen.Run(ctx, cfg)
+		})
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", name, err)
 		}
@@ -164,12 +144,8 @@ func run(ctx context.Context, o options, out io.Writer) error {
 }
 
 func printResult(out io.Writer, r *loadgen.Result) {
-	name := r.Scenario
-	if r.Target != "" {
-		name += "@" + r.Target
-	}
 	fmt.Fprintf(out, "%-9s rps %7.1f/%7.1f  p50 %7.2fms  p95 %7.2fms  p99 %7.2fms  req %6d  err %4d  429 %4d  shed %4d\n",
-		name, r.AchievedRPS, r.OfferedRPS, r.P50ms, r.P95ms, r.P99ms,
+		r.Scenario, r.AchievedRPS, r.OfferedRPS, r.P50ms, r.P95ms, r.P99ms,
 		r.Requests, r.Errors, r.Status429, r.Dropped)
 	if r.CacheChecked > 0 {
 		fmt.Fprintf(out, "          cache-hit identity: %d checked, %d mismatched\n", r.CacheChecked, r.CacheMismatches)
@@ -186,16 +162,6 @@ func printResult(out io.Writer, r *loadgen.Result) {
 func main() {
 	o := defaultOptions()
 	flag.StringVar(&o.url, "url", o.url, "base URL of the genasm-serve instance under test")
-	flag.Func("target", "multi-node mode: run each scenario against these base URLs concurrently and report per-target plus aggregate results (repeatable or comma-separated; overrides -url)", func(v string) error {
-		for _, part := range strings.Split(v, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			o.targets = append(o.targets, part)
-		}
-		return nil
-	})
 	flag.StringVar(&o.scenarios, "scenarios", o.scenarios,
 		"comma-separated scenario names, or all ("+strings.Join(loadgen.Scenarios(), ", ")+")")
 	flag.Int64Var(&o.seed, "seed", o.seed, "workload seed; the same seed offers the identical request sequence")

@@ -8,12 +8,16 @@
 // scheduler in the background, and serves the finished SAM/PAF/JSON for
 // download; cmd/genasm-submit is the matching client.
 //
-// With -upstream set, the process instead becomes a stateless routing
-// front over a cluster of genasm-serve nodes: /align and /map-align are
-// forwarded to an upstream chosen by consistent hashing on the request's
-// reference (with health-checked failover), /refs broadcasts to every
-// node, and no local engine runs. See docs/OPERATIONS.md "Running a
-// cluster".
+// -backend picks the local engine backend: cpu, gpu or a multi(...)
+// composite of them. A node's engine never reaches past its own
+// machine; spanning nodes is the routing front's job.
+//
+// With -upstream set, the process instead becomes that stateless
+// routing front over a cluster of genasm-serve nodes: /align and
+// /map-align are forwarded to an upstream chosen by consistent hashing
+// on the request's reference (with health-checked failover), /refs
+// broadcasts to every node, and no local engine runs. See
+// docs/OPERATIONS.md "Running a cluster".
 //
 // Example:
 //
@@ -51,10 +55,6 @@ import (
 	"genasm/internal/obs"
 	"genasm/server"
 	"genasm/server/jobs"
-
-	// Register the remote(host:port) backend so a node can itself shard
-	// work across other nodes (e.g. -backend "multi(cpu,remote(b:8081))").
-	_ "genasm/internal/remotebk"
 )
 
 // options collects every flag so the whole serve path is testable.

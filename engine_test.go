@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -19,32 +20,53 @@ func testPairs(seed int64, n, length int, rate float64) []Pair {
 }
 
 // TestEngineBackendParity is the paper's core claim through the public
-// API: the same configuration produces bit-identical Results on the CPU
-// and GPU backends, for both GenASM variants.
+// API: the same configuration produces bit-identical Results on every
+// built-in backend, for both GenASM variants. Each variant also runs a
+// non-default geometry (W=80 takes improved GenASM's multi-word path;
+// the unimproved variant is capped at W=64), which must change some
+// result against the default geometry: otherwise parity could not tell
+// a backend that honours its Config from one that ignores it.
 func TestEngineBackendParity(t *testing.T) {
 	ctx := context.Background()
-	pairs := testPairs(11, 24, 400, 0.1)
-	for _, algo := range []Algorithm{GenASM, GenASMUnimproved} {
-		cpuEng, err := NewEngine(WithAlgorithm(algo), WithBackendName("cpu"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gpuEng, err := NewEngine(WithAlgorithm(algo), WithBackendName("gpu"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cpuRes, err := cpuEng.AlignBatch(ctx, pairs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gpuRes, err := gpuEng.AlignBatch(ctx, pairs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range pairs {
-			if cpuRes[i] != gpuRes[i] {
-				t.Fatalf("%s pair %d: cpu %+v != gpu %+v", algo, i, cpuRes[i], gpuRes[i])
+	pairs := testPairs(11, 24, 400, 0.15)
+	cases := []struct {
+		algo    Algorithm
+		w, o, k int
+	}{
+		{algo: GenASM},
+		{GenASM, 80, 8, 6},
+		{algo: GenASMUnimproved},
+		{GenASMUnimproved, 24, 8, 6},
+	}
+	defaults := map[Algorithm][]Result{}
+	for _, c := range cases {
+		var want []Result
+		for _, be := range []string{"cpu", "gpu", "multi(cpu,gpu)"} {
+			eng, err := NewEngine(WithAlgorithm(c.algo), WithWindow(c.w, c.o, c.k), WithBackendName(be))
+			if err != nil {
+				t.Fatal(err)
 			}
+			got, err := eng.AlignBatch(ctx, pairs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range pairs {
+				if got[i] != want[i] {
+					t.Fatalf("%s W=%d O=%d k=%d pair %d: %s %+v != cpu %+v", c.algo, c.w, c.o, c.k, i, be, got[i], want[i])
+				}
+			}
+		}
+		def, ok := defaults[c.algo]
+		if !ok {
+			defaults[c.algo] = want
+			continue
+		}
+		if slices.Equal(want, def) {
+			t.Fatalf("%s W=%d O=%d k=%d: results equal the default geometry's, so parity proves nothing about the Config", c.algo, c.w, c.o, c.k)
 		}
 	}
 }

@@ -73,9 +73,6 @@ func (c *Config) fillDefaults() {
 type Result struct {
 	Scenario string
 	Seed     int64
-	// Target is the base URL this result measured (multi-target runs;
-	// "aggregate" for the cross-target sum, empty for single-target runs).
-	Target string
 	// OfferedRPS is the configured open-loop rate; AchievedRPS is what
 	// the measure phase actually completed per second.
 	OfferedRPS  float64

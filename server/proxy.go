@@ -28,10 +28,9 @@ type ProxyConfig struct {
 	// Upstreams are the node addresses ("host:port" or full base URLs;
 	// http:// is assumed without a scheme). At least one is required.
 	Upstreams []string
-	// HealthInterval is the /healthz probe period (default 1s).
+	// HealthInterval is the /healthz probe period (default 1s). One
+	// probe is bounded by the interval, at most 2s.
 	HealthInterval time.Duration
-	// HealthTimeout bounds one probe (default HealthInterval, max 2s).
-	HealthTimeout time.Duration
 	// FailAfter is how many consecutive probe failures eject an
 	// upstream from the ring (default 2). One probe success readmits.
 	FailAfter int
@@ -39,42 +38,17 @@ type ProxyConfig struct {
 	// beyond it the front sheds with the same 429 + Retry-After answer
 	// as a node's scheduler queue (default 1024).
 	MaxInFlight int
-	// Replicas is the virtual-node count per upstream on the hash ring
-	// (default 128).
-	Replicas int
-	// Client overrides the forwarding HTTP client (tests). The default
-	// client sets no whole-request timeout — streamed SAM/PAF responses
-	// are unbounded by design — and bounds connect and response-header
-	// latency on its transport instead.
-	Client *http.Client
 }
 
 func (c *ProxyConfig) fillDefaults() {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = time.Second
 	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = min(c.HealthInterval, 2*time.Second)
-	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 2
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 1024
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = ringReplicas
-	}
-	if c.Client == nil {
-		// Streaming responses rule out a whole-request Timeout: a long
-		// SAM stream is healthy traffic. Connect and header latency are
-		// bounded on the transport; request contexts cancel the rest.
-		//lint:allow httpclient streamed upstream responses have no bounded duration; connect and response-header latency are capped on the Transport and every request carries the client's context
-		c.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost:   16,
-			ResponseHeaderTimeout: 30 * time.Second,
-			IdleConnTimeout:       90 * time.Second,
-		}}
 	}
 }
 
@@ -168,9 +142,17 @@ func newProxy(cfg ProxyConfig, m *Metrics, log *slog.Logger) (*Proxy, error) {
 	}
 	reg := m.reg
 	p := &Proxy{
-		cfg:      cfg,
-		ups:      ups,
-		client:   cfg.Client,
+		cfg: cfg,
+		ups: ups,
+		// Streaming responses rule out a whole-request Timeout: a long
+		// SAM stream is healthy traffic. Connect and header latency are
+		// bounded on the transport; request contexts cancel the rest.
+		//lint:allow httpclient streamed upstream responses have no bounded duration; connect and response-header latency are capped on the Transport and every request carries the client's context
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConnsPerHost:   16,
+			ResponseHeaderTimeout: 30 * time.Second,
+			IdleConnTimeout:       90 * time.Second,
+		}},
 		log:      log,
 		metrics:  m,
 		inflight: make(chan struct{}, cfg.MaxInFlight),
@@ -285,7 +267,7 @@ func (p *Proxy) probeAll() {
 // probe asks one upstream's /healthz under the probe timeout.
 func (p *Proxy) probe(up *upstream) bool {
 	//lint:allow ctxflow the health prober is a background loop that outlives any request; Close stops it and each probe bounds itself
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), min(p.cfg.HealthInterval, 2*time.Second))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, up.base+"/healthz", nil)
 	if err != nil {
@@ -317,7 +299,7 @@ func (p *Proxy) rebuildRing() {
 			members = append(members, i)
 		}
 	}
-	ring := buildRing(labels, p.cfg.Replicas)
+	ring := buildRing(labels)
 	p.mu.Lock()
 	p.ring, p.members = ring, members
 	p.mu.Unlock()
@@ -406,7 +388,7 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, key string, body
 		if i > 0 {
 			p.failovers.Add(1)
 		}
-		resp, err := p.tryUpstream(r, up, body)
+		resp, err := p.attempt(r, up, i+1, body)
 		if err != nil {
 			lastErr = p.noteUpstreamError(up, err)
 			continue
@@ -422,12 +404,28 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, key string, body
 		}
 		up.proxied.Add(1)
 		p.proxied.Add(1)
-		obs.FromContext(r.Context()).Record("upstream", time.Now(), 0,
-			obs.String("upstream", up.base), obs.Int("attempt", i+1))
 		p.relay(w, resp)
 		return
 	}
 	httpError(w, http.StatusBadGateway, "every candidate upstream failed: %v", lastErr)
+}
+
+// attempt sends one forward attempt to up and records it on the
+// request's trace as an "upstream" span, timed from send to response
+// headers (the relayed body is the rest of the "proxy" span), with the
+// answer's status or the transport error.
+func (p *Proxy) attempt(r *http.Request, up *upstream, n int, body []byte) (*http.Response, error) {
+	start := time.Now()
+	resp, err := p.tryUpstream(r, up, body)
+	var outcome obs.Attr
+	if err != nil {
+		outcome = obs.String("error", err.Error())
+	} else {
+		outcome = obs.Int("status", resp.StatusCode)
+	}
+	obs.FromContext(r.Context()).Record("upstream", start, time.Since(start),
+		obs.String("upstream", up.base), obs.Int("attempt", n), outcome)
+	return resp, err
 }
 
 func (p *Proxy) noteUpstreamError(up *upstream, err error) error {

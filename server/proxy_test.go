@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"genasm"
+	"genasm/internal/obs"
 	"genasm/server/jobs"
 )
 
@@ -158,6 +161,89 @@ func TestClusterAlignParity(t *testing.T) {
 	}
 }
 
+// tracesWithID returns the traces in ts's /debug/traces ring that carry
+// request ID id.
+func tracesWithID(t *testing.T, ts *httptest.Server, id string) []obs.TraceView {
+	t.Helper()
+	status, body := doJSON(t, ts.Client(), "GET", ts.URL+"/debug/traces", nil)
+	if status != http.StatusOK {
+		t.Fatalf("%s/debug/traces status %d: %s", ts.URL, status, body)
+	}
+	var ring struct {
+		Traces []obs.TraceView `json:"traces"`
+	}
+	if err := json.Unmarshal(body, &ring); err != nil {
+		t.Fatal(err)
+	}
+	var out []obs.TraceView
+	for _, tr := range ring.Traces {
+		if tr.ID == id {
+			out = append(out, tr)
+		}
+	}
+	return out
+}
+
+// TestClusterTraceCrossesHop: one /align sent through the front with a
+// fixed X-Request-Id is traced on both sides of the hop. The front's
+// trace times the forward as an upstream span inside its proxy span,
+// and exactly one node (the ring owner) files a trace under the same ID.
+func TestClusterTraceCrossesHop(t *testing.T) {
+	_, nodeTS, _, frontTS := startCluster(t, 3, ProxyConfig{})
+	const id = "cross-hop-trace"
+	pairs := testPairs(t, 1, 96)
+	payload, err := json.Marshal(AlignRequest{Pairs: []AlignPair{{Query: string(pairs[0].Query), Ref: string(pairs[0].Ref)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, frontTS.URL+"/align", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(obs.RequestIDHeader, id)
+	resp, err := frontTS.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(obs.RequestIDHeader) != id {
+		t.Fatalf("front /align status %d, X-Request-Id %q", resp.StatusCode, resp.Header.Get(obs.RequestIDHeader))
+	}
+
+	front := tracesWithID(t, frontTS, id)
+	if len(front) != 1 {
+		t.Fatalf("front holds %d traces with id %q, want 1", len(front), id)
+	}
+	var proxy, upstream []obs.SpanView
+	for _, sp := range front[0].Spans {
+		switch sp.Name {
+		case "proxy":
+			proxy = append(proxy, sp)
+		case "upstream":
+			upstream = append(upstream, sp)
+		}
+	}
+	if len(proxy) != 1 || len(upstream) != 1 {
+		t.Fatalf("front trace has %d proxy and %d upstream spans, want 1 each: %+v", len(proxy), len(upstream), front[0].Spans)
+	}
+	up := upstream[0]
+	if up.DurationMS <= 0 || up.DurationMS > proxy[0].DurationMS {
+		t.Fatalf("upstream span %.3fms, want within (0, proxy span %.3fms]", up.DurationMS, proxy[0].DurationMS)
+	}
+	if up.Attrs["attempt"] != "1" || up.Attrs["status"] != "200" || up.Attrs["upstream"] == "" {
+		t.Fatalf("upstream span attrs %v", up.Attrs)
+	}
+
+	held := 0
+	for _, ts := range nodeTS {
+		held += len(tracesWithID(t, ts, id))
+	}
+	if held != 1 {
+		t.Fatalf("%d node traces carry id %q, want exactly 1", held, id)
+	}
+}
+
 // TestClusterFailover: killing an upstream never surfaces a 5xx to
 // clients — before ejection the forward fails over along the ring, and
 // after the health prober ejects the node the ring routes around it.
@@ -245,8 +331,8 @@ func TestClusterEjectReadmit(t *testing.T) {
 // of it (modulo hashing) and not none.
 func TestRingRemapFraction(t *testing.T) {
 	labels := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r3 := buildRing(labels, ringReplicas)
-	r4 := buildRing(append(labels, "http://d:1"), ringReplicas)
+	r3 := buildRing(labels)
+	r4 := buildRing(append(labels, "http://d:1"))
 	const keys = 10_000
 	moved := 0
 	for i := 0; i < keys; i++ {

@@ -30,18 +30,15 @@ type hashRing struct {
 	nodes  int         // distinct node count
 }
 
-// buildRing places replicas virtual points per node label on the
+// buildRing places ringReplicas virtual points per node label on the
 // circle. label(i) must be stable across rebuilds (the upstream's
 // address), so a node that leaves and returns reclaims exactly its old
 // arc and the keyspace it used to own.
-func buildRing(labels []string, replicas int) *hashRing {
-	if replicas <= 0 {
-		replicas = ringReplicas
-	}
-	r := &hashRing{points: make([]ringPoint, 0, len(labels)*replicas), nodes: len(labels)}
+func buildRing(labels []string) *hashRing {
+	r := &hashRing{points: make([]ringPoint, 0, len(labels)*ringReplicas), nodes: len(labels)}
 	var buf [8]byte
 	for node, label := range labels {
-		for rep := 0; rep < replicas; rep++ {
+		for rep := 0; rep < ringReplicas; rep++ {
 			h := fnv.New64a()
 			h.Write([]byte(label))
 			buf[0], buf[1], buf[2], buf[3] = byte(rep), byte(rep>>8), byte(rep>>16), byte(rep>>24)
