@@ -128,6 +128,7 @@ func (a *Aligner) AlignWindow(p, t []byte) (core.WindowResult, error) {
 		a.counters.AddRows(uint64(k+1), 0)
 		if dStar >= 0 {
 			cg, used, err := a.traceback(pm[:], n, m, dStar)
+			a.counters.EndAttempt()
 			a.counters.EndWindow()
 			if err != nil {
 				return core.WindowResult{}, err
@@ -137,7 +138,7 @@ func (a *Aligner) AlignWindow(p, t []byte) (core.WindowResult, error) {
 			}
 			return core.WindowResult{Distance: dStar, Cigar: cg, TextUsed: used}, nil
 		}
-		a.counters.EndWindow()
+		a.counters.EndAttempt()
 		if k >= m {
 			return core.WindowResult{}, fmt.Errorf("baseline: window unsolved at k=m=%d", m)
 		}

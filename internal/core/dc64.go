@@ -44,9 +44,11 @@ func (mk *masks64) initRow(d int) uint64 {
 }
 
 // dc64 runs the improved GenASM distance calculation for the loaded window
-// at error budget k on the single-word fast path (m <= 64): pattern masks
-// w.mk64 against the reversed text. It returns the stored table and the
-// window distance d*, or ok=false if the distance exceeds k.
+// on the single-word fast path (m <= 64): pattern masks w.mk64 against the
+// reversed text, filling table t up to its budget t.k. It starts at row
+// len(t.rows), the first row t does not hold yet (0 for a fresh table,
+// k+1 after a failed attempt at k), and returns the window distance d*,
+// or ok=false if the distance exceeds t.k.
 //
 // The loop is row-major over error levels so that early termination can
 // skip every row above the first solved one. In entry mode (SENE) the
@@ -54,11 +56,12 @@ func (mk *masks64) initRow(d int) uint64 {
 // reads R[d-1][i-1] and R[d-1][i] straight from the stored row d-1, so
 // each text position costs exactly one load and one store of DP state.
 // Edge mode keeps separate working rows, since its stored vectors are the
-// four edges rather than the ANDed entries.
-func (w *windowAligner) dc64(k int) (*table, int, bool) {
+// four edges rather than the ANDed entries; the last computed row stays in
+// working row 0 for a resumed attempt.
+func (w *windowAligner) dc64(t *table) (int, bool) {
 	mk, tRev, c := &w.mk64, w.tRevBuf, w.counters
-	m, n := mk.m, len(tRev)
-	t := w.ts.reset(m, n, k, w.cfg)
+	m, n, k := mk.m, len(tRev), t.k
+	from := len(t.rows)
 
 	high := mk.high
 	var rowPrev, rowCur []uint64
@@ -67,7 +70,7 @@ func (w *windowAligner) dc64(k int) (*table, int, bool) {
 		rowCur = w.ts.row(1, n+1)
 	}
 	solved := -1
-	for d := 0; d <= k; d++ {
+	for d := from; d <= k; d++ {
 		drow := w.ts.tableRow(d, t.stride*n)
 		var last uint64
 		if t.entries {
@@ -122,5 +125,8 @@ func (w *windowAligner) dc64(k int) (*table, int, bool) {
 			}
 		}
 	}
-	return t.done(solved, c)
+	if !t.entries {
+		w.ts.rowBuf[0], w.ts.rowBuf[1] = rowPrev, rowCur
+	}
+	return t.done(from, solved, c)
 }

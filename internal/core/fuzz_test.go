@@ -53,7 +53,9 @@ func clampFuzzCodes(raw []byte, maxLen int) []byte {
 
 func FuzzWindowAlign(f *testing.F) {
 	// Seeds cover: exact match, substitutions, indels, the W=64 boundary,
-	// multi-word widths, a band-limit budget, and degenerate texts.
+	// multi-word widths, a band-limit budget, and degenerate texts. The
+	// testdata corpus adds escalate-* windows whose budget doubles at least
+	// three times on each word width, so resumed attempts are fuzzed too.
 	f.Add([]byte("\x00\x01\x02\x03"), []byte("\x00\x01\x02\x03"), uint8(12), uint8(16))
 	f.Add([]byte("\x00\x01\x02\x03"), []byte("\x00\x03\x02\x03"), uint8(4), uint8(16))
 	f.Add([]byte("\x00\x01\x01\x02\x03"), []byte("\x00\x01\x02\x03"), uint8(2), uint8(8))

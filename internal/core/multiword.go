@@ -114,21 +114,24 @@ func (s *mwScratch) prepare(m, n int) {
 }
 
 // dcMW is dc64 for multi-word states: the distance calculation for the
-// loaded window at error budget k, with pattern masks w.mw.mk, returning
-// the stored table and the window distance d* (ok=false if it exceeds k).
-// The recurrence runs on full automaton rows in w.mw; the stored table
-// receives what its layout keeps of each entry.
-func (w *windowAligner) dcMW(k int) (*table, int, bool) {
+// loaded window, with pattern masks w.mw.mk, filling table t from row
+// len(t.rows) up to its budget t.k and returning the window distance d*
+// (ok=false if it exceeds t.k). The recurrence runs on full automaton rows
+// in w.mw, which keep the last computed row for a resumed attempt; the
+// stored table receives what its layout keeps of each entry.
+func (w *windowAligner) dcMW(t *table) (int, bool) {
 	mk, tRev, c := &w.mw.mk, w.tRevBuf, w.counters
-	m, n := mk.m, len(tRev)
+	m, n, k := mk.m, len(tRev), t.k
 	wpe, top := words(m), topMask(m)
-	t := w.ts.reset(m, n, k, w.cfg)
+	from := len(t.rows)
 
-	w.mw.prepare(m, n)
+	if from == 0 {
+		w.mw.prepare(m, n)
+	}
 	rowPrev, rowCur := w.mw.rowPrev, w.mw.rowCur
 
 	solved := -1
-	for d := 0; d <= k; d++ {
+	for d := from; d <= k; d++ {
 		mk.initRowInto(rowCur[0], d)
 		drow := w.ts.tableRow(d, t.stride*n)
 		if t.entries {
@@ -208,5 +211,6 @@ func (w *windowAligner) dcMW(k int) (*table, int, bool) {
 		}
 		rowPrev, rowCur = rowCur, rowPrev
 	}
-	return t.done(solved, c)
+	w.mw.rowPrev, w.mw.rowCur = rowPrev, rowCur
+	return t.done(from, solved, c)
 }

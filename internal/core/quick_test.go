@@ -91,8 +91,10 @@ func TestQuickKernelsShareOneTable(t *testing.T) {
 			for k := 1; k <= len(p); k++ {
 				cs = stats.Counters{TrackWindows: true}
 				cw = stats.Counters{TrackWindows: true}
-				rs, okS, errS := single[i].attempt(k)
-				rw, okW, errW := wide[i].attempt(k)
+				rs, okS, errS := single[i].attempt(k, false)
+				rw, okW, errW := wide[i].attempt(k, false)
+				cs.EndWindow()
+				cw.EndWindow()
 				if errS != nil || errW != nil || okS != okW || !reflect.DeepEqual(rs, rw) || !reflect.DeepEqual(cs, cw) {
 					t.Logf("cfg %+v m=%d n=%d k=%d:\n single %+v ok=%v err=%v %+v\n wide   %+v ok=%v err=%v %+v",
 						cfgs[i], len(p), len(tx), k, rs, okS, errS, cs, rw, okW, errW, cw)

@@ -28,6 +28,11 @@ import (
 //     only the band words are extracted (extract64) and stored, cutting
 //     the stored working set ~wpe/bandWords x. A single-word state is
 //     never packed; its band is enforced at read time.
+//   - resumable iff not packed: every stored word of row d is then a pure
+//     function of the window and d, never of k, so a window whose budget
+//     grows from k to k' keeps rows 0..k and computes only rows k+1..k'
+//     (tableScratch.grow). Packed band words shift with k (bandLo), so a
+//     packed table restarts empty.
 //
 // Stored words per entry (stride), all within rows[d]:
 //
@@ -67,13 +72,15 @@ func (t *table) addRow(drow []uint64, c *stats.Counters) {
 	c.AddFootprint(n * t.entryBits)
 }
 
-// done closes a distance calculation whose first solved row is solved (-1:
-// none within the budget), charging the rows computed and the rows early
-// termination skipped. It returns the kernel's (table, distance, ok).
-func (t *table) done(solved int, c *stats.Counters) (*table, int, bool) {
-	computed := len(t.rows)
-	c.AddRows(uint64(computed), uint64(t.k+1-computed))
-	return t, solved, solved >= 0
+// done closes a distance calculation that started at row from and whose
+// first solved row is solved (-1: none within the budget), charging the
+// rows it computed and the rows early termination skipped. Rows below
+// from were kept from a failed attempt and are not charged again. It
+// returns the kernel's (distance, ok).
+func (t *table) done(from, solved int, c *stats.Counters) (int, bool) {
+	held := len(t.rows)
+	c.AddRows(uint64(held-from), uint64(t.k+1-held))
+	return solved, solved >= 0
 }
 
 // entryBit returns bit j of R[d][i], reading stored state. Queries outside
@@ -237,19 +244,42 @@ type tableScratch struct {
 }
 
 // reset lays out the stored table for an m x n window at error budget k and
-// returns it empty. It is the one place the layout rule (see table) is
-// decided, for both kernels.
+// returns it empty.
 func (s *tableScratch) reset(m, n, k int, cfg Config) *table {
-	wpe := words(m)
 	t := &s.tbl
-	*t = table{
-		m: m, n: n, k: k,
-		entries:    !cfg.DisableSENE,
-		wpe:        wpe,
-		stride:     wpe,
-		storeBytes: 8 * uint64(wpe),
-		rows:       t.rows[:0],
+	*t = table{m: m, n: n, rows: t.rows[:0]}
+	t.layout(k, cfg)
+	return t
+}
+
+// grow raises the table's budget to k > t.k after a failed attempt. A
+// resumable (unpacked) table keeps its rows and the working rows the
+// kernels left behind, takes the layout fields of budget k — so traceback
+// reads exactly what a fresh attempt at k would — and is charged the
+// footprint of its kept rows at the new entry size. A packed table is
+// reset empty.
+func (s *tableScratch) grow(k int, cfg Config, c *stats.Counters) *table {
+	t := &s.tbl
+	if t.packed {
+		return s.reset(t.m, t.n, k, cfg)
 	}
+	t.layout(k, cfg)
+	c.AddFootprint(uint64(len(t.rows)) * uint64(t.n) * t.entryBits)
+	return t
+}
+
+// layout sets the layout fields of t for budget k. It is the one place the
+// layout rule (see table) is decided, for both kernels. An unpacked
+// layout stays unpacked, with the same stride, at every larger k: the
+// band only widens.
+func (t *table) layout(k int, cfg Config) {
+	wpe := words(t.m)
+	t.k = k
+	t.entries = !cfg.DisableSENE
+	t.banded, t.packed, t.bandB = false, false, 0
+	t.wpe = wpe
+	t.stride = wpe
+	t.storeBytes = 8 * uint64(wpe)
 	switch {
 	case !t.entries:
 		t.stride = 4 * wpe
@@ -266,7 +296,6 @@ func (s *tableScratch) reset(m, n, k int, cfg Config) *table {
 	if t.banded {
 		t.entryBits = uint64(t.bandB)
 	}
-	return t
 }
 
 // row hands out working row `which` with capacity for n words (edge mode

@@ -21,9 +21,10 @@ type WindowResult struct {
 	TextUsed int
 }
 
-// windowAligner aligns single windows with retry-on-budget-exceeded. It owns
-// reusable scratch — the stored-table buffers in ts are shared by the
-// single-word and multi-word kernels — and is not safe for concurrent use.
+// windowAligner aligns single windows, doubling the error budget of a
+// window that exceeds it. It owns reusable scratch — the stored-table
+// buffers in ts are shared by the single-word and multi-word kernels — and
+// is not safe for concurrent use.
 type windowAligner struct {
 	cfg      Config
 	ts       tableScratch
@@ -39,6 +40,11 @@ type windowAligner struct {
 // text t (base codes, forward) under the window semantics above. Both
 // strings are reversed internally, following GenASM, so the traceback emits
 // operations in forward order and the free text slack lands at the tail.
+//
+// A window whose distance exceeds the budget k is retried at min(2k, m).
+// The retry resumes: it keeps the k+1 rows the failed attempt computed
+// whenever the table layout allows (see table), so it computes only the
+// rows above k.
 func (w *windowAligner) alignWindow(p, t []byte) (WindowResult, error) {
 	m, n := len(p), len(t)
 	if m == 0 {
@@ -46,9 +52,10 @@ func (w *windowAligner) alignWindow(p, t []byte) (WindowResult, error) {
 	}
 	w.load(p, t, m <= 64)
 	k := min(w.cfg.InitialK, m)
-	for {
-		wr, ok, err := w.attempt(k)
+	for resume := false; ; resume = true {
+		wr, ok, err := w.attempt(k, resume)
 		if ok || err != nil {
+			w.counters.EndWindow()
 			return wr, err
 		}
 		if k >= m {
@@ -76,8 +83,10 @@ func (w *windowAligner) load(p, t []byte, single bool) {
 
 // attempt aligns the loaded window at error budget k: the kernel's distance
 // calculation, then the shared traceback and its cost check. ok=false
-// means the distance exceeds k.
-func (w *windowAligner) attempt(k int) (WindowResult, bool, error) {
+// means the distance exceeds k. With resume set, the previous attempt on
+// this window failed at a smaller budget, and the distance calculation
+// continues from the rows its table kept.
+func (w *windowAligner) attempt(k int, resume bool) (WindowResult, bool, error) {
 	var (
 		tbl  *table
 		d    int
@@ -86,15 +95,20 @@ func (w *windowAligner) attempt(k int) (WindowResult, bool, error) {
 		used int
 		err  error
 	)
-	if w.single {
-		tbl, d, ok = w.dc64(k)
+	if resume {
+		tbl = w.ts.grow(k, w.cfg, w.counters)
 	} else {
-		tbl, d, ok = w.dcMW(k)
+		tbl = w.ts.reset(len(w.pRevBuf), len(w.tRevBuf), k, w.cfg)
+	}
+	if w.single {
+		d, ok = w.dc64(tbl)
+	} else {
+		d, ok = w.dcMW(tbl)
 	}
 	if ok {
 		cg, used, err = traceback(tbl, w.pRevBuf, w.tRevBuf, d, w.counters)
 	}
-	w.counters.EndWindow()
+	w.counters.EndAttempt()
 	switch {
 	case err != nil || !ok:
 		return WindowResult{}, false, err

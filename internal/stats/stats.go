@@ -27,8 +27,9 @@ type Counters struct {
 	// entry is charged the whole entry).
 	WriteBytes uint64
 	ReadBytes  uint64
-	// FootprintBits is the total number of DP-table bits stored for the
-	// current window. Peak footprint across windows is tracked separately.
+	// FootprintBits is the number of DP-table bits the current attempt's
+	// table holds. A window's footprint is the largest table any of its
+	// attempts held; peak footprint across windows is tracked separately.
 	FootprintBits uint64
 	// PeakFootprintBits is the maximum per-window footprint observed.
 	PeakFootprintBits uint64
@@ -37,8 +38,12 @@ type Counters struct {
 	TotalFootprintBits uint64
 	// Windows is the number of window alignments accounted.
 	Windows uint64
+	// Attempts is the number of distance calculations those windows ran:
+	// one per window plus one per budget-doubling retry.
+	Attempts uint64
 	// RowsComputed and RowsSkipped count DC rows (error levels) computed
-	// vs skipped by early termination.
+	// vs skipped by early termination. A row a retry keeps from the failed
+	// attempt is computed, and counted, once.
 	RowsComputed uint64
 	RowsSkipped  uint64
 	// TrackWindows, when set before aligning, records one WindowStat per
@@ -47,6 +52,7 @@ type Counters struct {
 	TrackWindows bool
 	WindowStats  []WindowStat
 
+	winFootprint   uint64 // largest table of the current window's closed attempts
 	winStartWrites uint64
 	winStartReads  uint64
 	winStartBytes  uint64
@@ -82,17 +88,31 @@ func (c *Counters) AddFootprint(n uint64) {
 	}
 }
 
-// EndWindow finalizes the footprint accounting for one window: the current
-// window footprint is folded into the peak and reset. With TrackWindows
-// set, the window's footprint and access count are also recorded.
+// EndAttempt closes one distance calculation of the current window: its
+// table size is folded into the window's footprint and the next attempt's
+// table starts empty (a table that keeps rows charges them again).
+func (c *Counters) EndAttempt() {
+	if c == nil {
+		return
+	}
+	c.Attempts++
+	c.winFootprint = max(c.winFootprint, c.FootprintBits)
+	c.FootprintBits = 0
+}
+
+// EndWindow finalizes the footprint accounting for one window: the
+// largest table the window held is folded into the peak and reset. With
+// TrackWindows set, the window's footprint and access count are also
+// recorded.
 func (c *Counters) EndWindow() {
 	if c == nil {
 		return
 	}
 	c.Windows++
+	fp := max(c.winFootprint, c.FootprintBits)
 	if c.TrackWindows {
 		c.WindowStats = append(c.WindowStats, WindowStat{
-			FootprintBits: c.FootprintBits,
+			FootprintBits: fp,
 			Accesses:      (c.TableWrites - c.winStartWrites) + (c.TableReads - c.winStartReads),
 			TrafficBytes:  c.TrafficBytes() - c.winStartBytes,
 		})
@@ -100,11 +120,9 @@ func (c *Counters) EndWindow() {
 		c.winStartReads = c.TableReads
 		c.winStartBytes = c.TrafficBytes()
 	}
-	if c.FootprintBits > c.PeakFootprintBits {
-		c.PeakFootprintBits = c.FootprintBits
-	}
-	c.TotalFootprintBits += c.FootprintBits
-	c.FootprintBits = 0
+	c.PeakFootprintBits = max(c.PeakFootprintBits, fp)
+	c.TotalFootprintBits += fp
+	c.FootprintBits, c.winFootprint = 0, 0
 }
 
 // MeanWindowFootprintBits returns the average per-window DP footprint.
@@ -148,6 +166,7 @@ func (c *Counters) Merge(other *Counters) {
 	c.TableWrites += other.TableWrites
 	c.TableReads += other.TableReads
 	c.Windows += other.Windows
+	c.Attempts += other.Attempts
 	c.RowsComputed += other.RowsComputed
 	c.RowsSkipped += other.RowsSkipped
 	c.TotalFootprintBits += other.TotalFootprintBits
@@ -170,6 +189,6 @@ func (c *Counters) String() string {
 	if c == nil {
 		return "stats: disabled"
 	}
-	return fmt.Sprintf("windows=%d writes=%d reads=%d peakFootprint=%dbits rows=%d/%d skipped",
-		c.Windows, c.TableWrites, c.TableReads, c.PeakFootprintBits, c.RowsComputed, c.RowsComputed+c.RowsSkipped)
+	return fmt.Sprintf("windows=%d attempts=%d writes=%d reads=%d peakFootprint=%dbits rows=%d/%d skipped",
+		c.Windows, c.Attempts, c.TableWrites, c.TableReads, c.PeakFootprintBits, c.RowsComputed, c.RowsComputed+c.RowsSkipped)
 }
