@@ -1,19 +1,32 @@
 package minimap
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"genasm/internal/dna"
 )
 
-// Index is a minimizer hash table over one reference sequence.
+// Index is a minimizer index over one reference sequence, in minimap2's
+// flat layout: no per-seed allocation, every array sized exactly.
 type Index struct {
 	K, W   int
 	RefLen int
-	// table maps a canonical minimizer hash to its reference
-	// occurrences, packed as pos<<1 | strand.
-	table map[uint64][]uint32
+	// keys holds the distinct canonical minimizer hashes that survived the
+	// occurrence filter, ascending. The reference occurrences of keys[i]
+	// are occ[offs[i]:offs[i+1]], packed as pos<<1 | strand in reference
+	// order.
+	keys []uint64
+	offs []uint32
+	occ  []uint32
+	// dir is a directory on the top bits of the 2K-bit hash: the keys
+	// whose hash>>dirShift is b are keys[dir[b]:dir[b+1]], so a lookup is
+	// one directory load plus a short scan.
+	dir      []uint32
+	dirShift uint
 	// maxOcc drops hyper-repetitive seeds (like minimap2's -f filter).
 	maxOcc int
 }
@@ -38,21 +51,84 @@ func BuildIndex(ref []byte, cfg IndexConfig) (*Index, error) {
 	if cfg.MaxOccurrences <= 0 {
 		cfg.MaxOccurrences = 64
 	}
-	ix := &Index{K: cfg.K, W: cfg.W, RefLen: len(ref),
-		table: make(map[uint64][]uint32), maxOcc: cfg.MaxOccurrences}
-	for _, m := range Minimizers(ref, cfg.K, cfg.W) {
-		v := uint32(m.Pos) << 1
-		if m.Rev {
-			v |= 1
+	ix := &Index{K: cfg.K, W: cfg.W, RefLen: len(ref), maxOcc: cfg.MaxOccurrences}
+	ms := Minimizers(ref, cfg.K, cfg.W)
+	slices.SortFunc(ms, func(a, b Minimizer) int {
+		if c := cmp.Compare(a.Hash, b.Hash); c != 0 {
+			return c
 		}
-		ix.table[m.Hash] = append(ix.table[m.Hash], v)
-	}
-	for h, occ := range ix.table {
-		if len(occ) > ix.maxOcc {
-			delete(ix.table, h)
+		return cmp.Compare(a.Pos, b.Pos)
+	})
+	// Two passes over the hash runs: count what the filter keeps, then
+	// fill arrays of exactly that size.
+	nKeys, nOcc := 0, 0
+	for i, j := 0, 0; i < len(ms); i = j {
+		j = runEnd(ms, i)
+		if j-i <= ix.maxOcc {
+			nKeys++
+			nOcc += j - i
 		}
 	}
+	ix.keys = make([]uint64, 0, nKeys)
+	ix.offs = make([]uint32, 1, nKeys+1)
+	ix.occ = make([]uint32, 0, nOcc)
+	for i, j := 0, 0; i < len(ms); i = j {
+		j = runEnd(ms, i)
+		if j-i > ix.maxOcc {
+			continue
+		}
+		ix.keys = append(ix.keys, ms[i].Hash)
+		for _, m := range ms[i:j] {
+			v := uint32(m.Pos) << 1
+			if m.Rev {
+				v |= 1
+			}
+			ix.occ = append(ix.occ, v)
+		}
+		ix.offs = append(ix.offs, uint32(len(ix.occ)))
+	}
+	ix.buildDir()
 	return ix, nil
+}
+
+// runEnd returns the end of the run of equal hashes starting at ms[i].
+func runEnd(ms []Minimizer, i int) int {
+	j := i + 1
+	for j < len(ms) && ms[j].Hash == ms[i].Hash {
+		j++
+	}
+	return j
+}
+
+// buildDir sizes the directory to about one bucket per key and fills it.
+func (ix *Index) buildDir() {
+	nb := min(uint(bits.Len(uint(len(ix.keys)))), 2*uint(ix.K))
+	ix.dirShift = 2*uint(ix.K) - nb
+	ix.dir = make([]uint32, 1<<nb+1)
+	b := 0
+	for i, h := range ix.keys {
+		for ; b <= int(h>>ix.dirShift); b++ {
+			ix.dir[b] = uint32(i)
+		}
+	}
+	for ; b < len(ix.dir); b++ {
+		ix.dir[b] = uint32(len(ix.keys))
+	}
+}
+
+// lookup returns the reference occurrences of minimizer hash h (nil if it
+// is not indexed).
+func (ix *Index) lookup(h uint64) []uint32 {
+	b := h >> ix.dirShift
+	for i := ix.dir[b]; i < ix.dir[b+1]; i++ {
+		switch k := ix.keys[i]; {
+		case k == h:
+			return ix.occ[ix.offs[i]:ix.offs[i+1]]
+		case k > h:
+			return nil
+		}
+	}
+	return nil
 }
 
 // BuildIndexRaw indexes a raw ASCII reference.
@@ -61,7 +137,7 @@ func BuildIndexRaw(ref []byte, cfg IndexConfig) (*Index, error) {
 }
 
 // Seeds returns the number of distinct indexed minimizers.
-func (ix *Index) Seeds() int { return len(ix.table) }
+func (ix *Index) Seeds() int { return len(ix.keys) }
 
 // anchor is one seed hit: read position rpos matches reference position
 // tpos. For reverse-strand hits, rpos is in the coordinates of the
@@ -74,11 +150,7 @@ type anchor struct {
 func (ix *Index) anchors(read []byte) (fwd, rev []anchor) {
 	readLen := int32(len(read))
 	for _, m := range Minimizers(read, ix.K, ix.W) {
-		occ, ok := ix.table[m.Hash]
-		if !ok {
-			continue
-		}
-		for _, v := range occ {
+		for _, v := range ix.lookup(m.Hash) {
 			tpos := int32(v >> 1)
 			tRev := v&1 == 1
 			if m.Rev == tRev {

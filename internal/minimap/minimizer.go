@@ -7,6 +7,8 @@
 package minimap
 
 import (
+	"math/bits"
+
 	"genasm/internal/dna"
 )
 
@@ -37,16 +39,22 @@ func hash64(key, mask uint64) uint64 {
 // invalidHash marks strand-ambiguous k-mers, which are never selected.
 const invalidHash = ^uint64(0)
 
+// kmerCand is one k-mer in the selection window; idx counts the k-mers
+// (valid or strand-ambiguous) before it.
 type kmerCand struct {
 	hash uint64
 	pos  int32
 	rev  bool
+	idx  int
 }
 
 // Minimizers extracts the (w,k)-minimizers of seq (base codes). K-mers
 // containing N are skipped; k-mers equal to their own reverse complement
 // are skipped (strand-ambiguous), both as in minimap2. Every window of w
 // consecutive valid k-mers contributes at least one minimizer.
+//
+// The k-mers stream through a monotonic deque held in a ring of at least
+// w entries, so the only allocation that grows with seq is the output.
 func Minimizers(seq []byte, k, w int) []Minimizer {
 	if k < 1 || k > 28 || w < 1 || len(seq) < k {
 		return nil
@@ -56,7 +64,14 @@ func Minimizers(seq []byte, k, w int) []Minimizer {
 	var fwd, rev uint64
 	valid := 0
 
-	cands := make([]kmerCand, 0, len(seq))
+	// A random sequence selects ~2/(w+1) of its k-mers; 1/8 slack keeps
+	// the output from regrowing.
+	out := make([]Minimizer, 0, (len(seq)-k+1)*9/(4*(w+1))+8)
+	ring := make([]kmerCand, 1<<bits.Len(uint(w-1))) // >= w entries, a power of two
+	rmask := len(ring) - 1
+	head, size := 0, 0 // the deque is ring[head], ..., ring[head+size-1]
+	lastEmitted := int32(-1)
+	n := 0 // k-mers seen
 	for i := 0; i < len(seq); i++ {
 		b := seq[i]
 		if b >= 4 {
@@ -70,36 +85,29 @@ func Minimizers(seq []byte, k, w int) []Minimizer {
 		if valid < k {
 			continue
 		}
-		pos := int32(i - k + 1)
-		if fwd == rev {
-			cands = append(cands, kmerCand{hash: invalidHash, pos: pos})
-			continue
+		c := kmerCand{hash: invalidHash, pos: int32(i - k + 1), idx: n}
+		if fwd != rev {
+			h, r := fwd, false
+			if rev < fwd {
+				h, r = rev, true
+			}
+			c.hash, c.rev = hash64(h, mask), r
 		}
-		h, r := fwd, false
-		if rev < fwd {
-			h, r = rev, true
-		}
-		cands = append(cands, kmerCand{hash: hash64(h, mask), pos: pos, rev: r})
-	}
+		n++
 
-	// Slide a window of w consecutive valid k-mers with a monotonic deque.
-	var out []Minimizer
-	deque := make([]kmerCand, 0, w+1)
-	lastEmitted := int32(-1)
-	for i, c := range cands {
-		for len(deque) > 0 && deque[len(deque)-1].hash >= c.hash {
-			deque = deque[:len(deque)-1]
+		// Slide the window of the last w k-mers: drop the k-mer that left
+		// it, then every k-mer the new one beats, then append it.
+		if size > 0 && ring[head].idx <= c.idx-w {
+			head = (head + 1) & rmask
+			size--
 		}
-		deque = append(deque, c)
-		lo := i - w + 1
-		if lo < 0 {
-			lo = 0
+		for size > 0 && ring[(head+size-1)&rmask].hash >= c.hash {
+			size--
 		}
-		for deque[0].pos < cands[lo].pos {
-			deque = deque[1:]
-		}
-		if i >= w-1 {
-			m := deque[0]
+		ring[(head+size)&rmask] = c
+		size++
+		if c.idx >= w-1 {
+			m := ring[head]
 			if m.hash != invalidHash && m.pos != lastEmitted {
 				lastEmitted = m.pos
 				out = append(out, Minimizer{Hash: m.hash, Pos: m.pos, Rev: m.rev})
@@ -108,8 +116,8 @@ func Minimizers(seq []byte, k, w int) []Minimizer {
 	}
 	// Sequences with fewer than w valid k-mers still seed with their
 	// single window minimum.
-	if len(out) == 0 && len(deque) > 0 && deque[0].hash != invalidHash {
-		m := deque[0]
+	if len(out) == 0 && size > 0 && ring[head].hash != invalidHash {
+		m := ring[head]
 		out = append(out, Minimizer{Hash: m.hash, Pos: m.pos, Rev: m.rev})
 	}
 	return out
