@@ -35,8 +35,11 @@ type Config struct {
 	O int
 	// InitialK is the per-window error budget. When a window's edit
 	// distance exceeds the current budget, the budget is doubled (up to
-	// the window length, where a solution always exists) and the window
-	// is recomputed, as in Edlib's band doubling.
+	// the window length, where a solution always exists), as in Edlib's
+	// band doubling, and the window is resumed: rows 0..k of the failed
+	// attempt are kept and only the rows above k are computed (a packed
+	// multi-word table restarts; see table). The result is the one a
+	// fresh attempt at the final budget returns.
 	InitialK int
 	// The three improvements. DisableX names keep the zero value the
 	// paper's full configuration.

@@ -11,7 +11,8 @@ import (
 // table is the stored DP working set of one window: everything the traceback
 // is allowed to read, laid out as flat little-endian uint64 rows, one per
 // error level. Both kernels — single-word (m <= 64, dc64.go) and multi-word
-// (multiword.go) — fill the same layout, chosen once by tableScratch.reset,
+// (multiword.go) — fill the same layout, decided in one place (layout) for
+// a fresh table (tableScratch.reset) and a resumed one (tableScratch.grow),
 // and one traceback reads it. A row stores per text position i in 1..n
 // either the entry bitvector R[d][i] (SENE), a (2k+3)-bit diagonal band of
 // it (SENE+DENT), or the four edge bitvectors match/substitution/deletion/

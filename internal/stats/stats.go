@@ -89,8 +89,9 @@ func (c *Counters) AddFootprint(n uint64) {
 }
 
 // EndAttempt closes one distance calculation of the current window: its
-// table size is folded into the window's footprint and the next attempt's
-// table starts empty (a table that keeps rows charges them again).
+// table size is folded into the window's footprint, and the next
+// attempt's table starts at zero bits (a resumed table re-adds the rows it
+// keeps, at its new entry size).
 func (c *Counters) EndAttempt() {
 	if c == nil {
 		return

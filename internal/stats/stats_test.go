@@ -104,3 +104,34 @@ func TestStringContainsFields(t *testing.T) {
 		}
 	}
 }
+
+// TestAttemptsFoldIntoOneWindow pins the attempt/window split: a window
+// retried at a larger budget counts once in Windows, once per try in
+// Attempts, and its footprint is the largest table any attempt held.
+func TestAttemptsFoldIntoOneWindow(t *testing.T) {
+	c := Counters{TrackWindows: true}
+	c.AddWrite(10, 8)
+	c.AddFootprint(300)
+	c.EndAttempt()
+	c.AddFootprint(200) // a resumed table smaller than the first attempt's
+	c.AddWrite(5, 8)
+	c.EndAttempt()
+	c.EndWindow()
+	c.AddFootprint(50)
+	c.EndAttempt()
+	c.EndWindow()
+	if c.Windows != 2 || c.Attempts != 3 {
+		t.Fatalf("windows=%d attempts=%d want 2, 3", c.Windows, c.Attempts)
+	}
+	if c.PeakFootprintBits != 300 || c.TotalFootprintBits != 350 {
+		t.Fatalf("peak=%d total=%d want 300, 350", c.PeakFootprintBits, c.TotalFootprintBits)
+	}
+	if want := (WindowStat{FootprintBits: 300, Accesses: 15, TrafficBytes: 120}); c.WindowStats[0] != want {
+		t.Fatalf("first window %+v want %+v", c.WindowStats[0], want)
+	}
+	var m Counters
+	m.Merge(&c)
+	if m.Attempts != 3 || !strings.Contains(m.String(), "attempts=3") {
+		t.Fatalf("merged %+v: %s", m, m.String())
+	}
+}
