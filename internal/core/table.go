@@ -241,7 +241,7 @@ func extractWord(words []uint64, wi, m int) uint64 {
 type tableScratch struct {
 	tbl    table
 	back   [][]uint64  // backing rows, grown on demand
-	rowBuf [2][]uint64 // edge-mode working rows (single-word path)
+	rowBuf [2][]uint64 // edge-mode working rows (single-word path); [0] holds the last computed row
 }
 
 // reset lays out the stored table for an m x n window at error budget k and
