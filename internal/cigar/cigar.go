@@ -239,9 +239,17 @@ func (c Cigar) Reverse() Cigar {
 // characters, plus the number of reference characters that prefix consumes.
 // It reports an error if c consumes fewer than q query characters.
 func (c Cigar) Slice(q int) (Cigar, int, error) {
-	var out Cigar
+	return Cigar(nil).AppendPrefix(c, q)
+}
+
+// AppendPrefix appends to c the prefix of src that src.Slice(q) returns,
+// merging at the junction as Concat does, without building the prefix on
+// its own. It returns the extended c and the number of reference
+// characters the prefix consumes.
+func (c Cigar) AppendPrefix(src Cigar, q int) (Cigar, int, error) {
+	out := c
 	ref := 0
-	for _, op := range c {
+	for _, op := range src {
 		if q == 0 {
 			break
 		}

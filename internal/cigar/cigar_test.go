@@ -234,6 +234,27 @@ func TestQuickSliceConservation(t *testing.T) {
 	}
 }
 
+func TestAppendPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 200; i++ {
+		head, _, _ := randomCigar(rng)
+		c, q, _ := randomCigar(rng)
+		k := rng.Intn(len(q) + 1)
+		pre, wantRef, err := c.Slice(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(Cigar(nil), head...).Concat(pre)
+		got, ref, err := append(Cigar(nil), head...).AppendPrefix(c, k)
+		if err != nil || ref != wantRef || !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: AppendPrefix = %v,%d,%v; want %v,%d", i, got, ref, err, want, wantRef)
+		}
+	}
+	if _, _, err := (Cigar{{Match, 2}}).AppendPrefix(Cigar{{Match, 3}}, 4); err == nil {
+		t.Error("AppendPrefix accepted over-long prefix")
+	}
+}
+
 func TestConcat(t *testing.T) {
 	a := Cigar{{Match, 3}, {Ins, 1}}
 	b := Cigar{{Ins, 2}, {Match, 1}}

@@ -156,3 +156,34 @@ func TestPipelineAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestPipelineResultAllocs pins what the windowed pipeline allocates once
+// its scratch is warm: the returned Result's cigar and nothing per
+// window. Every window's traceback and the alignment under construction
+// live in the aligner, so a long read's allocation does not grow with its
+// window count.
+func TestPipelineResultAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		w, o, k int
+	}{
+		{"dc64", 64, 24, 12},
+		{"multiword", 128, 48, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, txt := allocPair(1000, 0.08, 42)
+			a, err := New(Config{W: tc.w, O: tc.o, InitialK: tc.k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() {
+				if _, err := a.AlignEncoded(p, txt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := measureAllocs(t, run, run); got > 1 {
+				t.Errorf("pipeline %s: %.1f allocs/op, want <= 1 (the result cigar)", tc.name, got)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 
 	"genasm/internal/cigar"
 	"genasm/internal/dna"
@@ -35,15 +36,16 @@ const lastWindowSlack = 48
 // W-O bases (the overlap region is re-aligned by the next window, which
 // absorbs indel drift at window borders). query and ref are base codes.
 func AlignWindowed(query, ref []byte, w, o int, align WindowFunc) (Result, error) {
+	return appendWindowed(nil, query, ref, w, o, align)
+}
+
+// appendWindowed is AlignWindowed building the alignment in full's
+// backing array.
+func appendWindowed(full cigar.Cigar, query, ref []byte, w, o int, align WindowFunc) (Result, error) {
 	if w < 1 || o < 0 || o >= w {
 		return Result{}, errors.New("core: invalid window geometry")
 	}
-	var (
-		full cigar.Cigar
-		dist int
-		qi   int
-		ti   int
-	)
+	var dist, qi, ti int
 	for {
 		rem := len(query) - qi
 		if rem == 0 {
@@ -56,8 +58,10 @@ func AlignWindowed(query, ref []byte, w, o int, align WindowFunc) (Result, error
 			if err != nil {
 				return Result{}, err
 			}
+			// The committed prefixes cost what full holds so far: edit
+			// cost adds up across a concatenation.
+			dist = full.EditCost() + wr.Distance
 			full = full.Concat(wr.Cigar)
-			dist += wr.Distance
 			ti += wr.TextUsed
 			break
 		}
@@ -66,12 +70,11 @@ func AlignWindowed(query, ref []byte, w, o int, align WindowFunc) (Result, error
 		if err != nil {
 			return Result{}, err
 		}
-		committed, refUsed, err := wr.Cigar.Slice(w - o)
+		var refUsed int
+		full, refUsed, err = full.AppendPrefix(wr.Cigar, w-o)
 		if err != nil {
 			return Result{}, err
 		}
-		full = full.Concat(committed)
-		dist += committed.EditCost()
 		qi += w - o
 		ti += refUsed
 	}
@@ -82,8 +85,9 @@ func AlignWindowed(query, ref []byte, w, o int, align WindowFunc) (Result, error
 // reusable scratch buffers, so it is NOT safe for concurrent use: create
 // one Aligner per goroutine.
 type Aligner struct {
-	cfg Config
-	wa  windowAligner
+	cfg  Config
+	wa   windowAligner
+	full cigar.Cigar // the alignment under construction, reused across calls
 }
 
 // New returns an Aligner for cfg.
@@ -112,11 +116,21 @@ func (a *Aligner) Align(query, ref []byte) (Result, error) {
 // AlignEncoded is Align for pre-encoded base codes, avoiding the per-call
 // encoding cost in batch pipelines.
 func (a *Aligner) AlignEncoded(query, ref []byte) (Result, error) {
-	return AlignWindowed(query, ref, a.cfg.W, a.cfg.O, a.wa.alignWindow)
+	r, err := appendWindowed(a.full[:0], query, ref, a.cfg.W, a.cfg.O, a.wa.alignWindow)
+	if err != nil {
+		return r, err
+	}
+	// Keep the grown buffer and hand out an exactly sized copy (nil for an
+	// empty query).
+	a.full = r.Cigar
+	r.Cigar = append(cigar.Cigar(nil), r.Cigar...)
+	return r, nil
 }
 
 // AlignWindow exposes single-window alignment (base codes, forward
 // orientation); used by tests, the kernel benchmarks and FuzzWindowAlign.
 func (a *Aligner) AlignWindow(p, t []byte) (WindowResult, error) {
-	return a.wa.alignWindow(p, t)
+	wr, err := a.wa.alignWindow(p, t)
+	wr.Cigar = slices.Clone(wr.Cigar)
+	return wr, err
 }

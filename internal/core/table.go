@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"genasm/internal/cigar"
 	"genasm/internal/dna"
@@ -130,8 +131,8 @@ func (t *table) edgeBit(e, d, i, j int, c *stats.Counters) uint64 {
 // processed, whole pattern matched, error level d*) back to the start of
 // the pattern, emitting alignment operations. Because both window strings
 // (pRev, tRev) are reversed, the operations come out in forward order of
-// the original window. It returns the alignment and the number of text
-// characters the pattern consumed.
+// the original window. It returns the alignment, built in cg's backing
+// array, and the number of text characters the pattern consumed.
 //
 // Edge priority is match, substitution, deletion (pattern-only: a query
 // insertion in CIGAR terms), insertion (text-only: a query deletion). Every
@@ -141,8 +142,8 @@ func (t *table) edgeBit(e, d, i, j int, c *stats.Counters) uint64 {
 // masks encode, N matching nothing — and match runs are followed to their
 // end before emitting, so long stretches of agreement between pattern and
 // text cost one run-length append instead of one per base.
-func traceback(t *table, pRev, tRev []byte, dStar int, c *stats.Counters) (cigar.Cigar, int, error) {
-	cg := make(cigar.Cigar, 0, 2*dStar+2) // <= 2*d*+1 runs: each edit breaks at most one match run
+func traceback(cg cigar.Cigar, t *table, pRev, tRev []byte, dStar int, c *stats.Counters) (cigar.Cigar, int, error) {
+	cg = slices.Grow(cg[:0], 2*dStar+2) // <= 2*d*+1 runs: each edit breaks at most one match run
 	i, j, d := t.n, t.m-1, dStar
 	for j >= 0 {
 		if t.entries {
@@ -202,7 +203,7 @@ func traceback(t *table, pRev, tRev []byte, dStar int, c *stats.Counters) (cigar
 				}
 			}
 		}
-		return nil, 0, fmt.Errorf("core: traceback stuck at i=%d j=%d d=%d (table %dx%d k=%d)", i, j, d, t.n, t.m, t.k)
+		return cg, 0, fmt.Errorf("core: traceback stuck at i=%d j=%d d=%d (table %dx%d k=%d)", i, j, d, t.n, t.m, t.k)
 	}
 	return cg, t.n - i, nil
 }

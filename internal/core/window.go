@@ -34,6 +34,9 @@ type windowAligner struct {
 	pRevBuf  []byte
 	tRevBuf  []byte
 	counters *stats.Counters
+	// cg receives each traceback. The Cigar of a WindowResult that
+	// alignWindow returns shares it, so it is valid until the next call.
+	cg cigar.Cigar
 }
 
 // alignWindow aligns pattern p (base codes, forward orientation) against
@@ -106,7 +109,8 @@ func (w *windowAligner) attempt(k int, resume bool) (WindowResult, bool, error) 
 		d, ok = w.dcMW(tbl)
 	}
 	if ok {
-		cg, used, err = traceback(tbl, w.pRevBuf, w.tRevBuf, d, w.counters)
+		cg, used, err = traceback(w.cg, tbl, w.pRevBuf, w.tRevBuf, d, w.counters)
+		w.cg = cg
 	}
 	w.counters.EndAttempt()
 	switch {
