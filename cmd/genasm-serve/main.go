@@ -315,7 +315,7 @@ func main() {
 	flag.IntVar(&o.threads, "threads", 0, "CPU worker threads (0 = GOMAXPROCS)")
 	flag.IntVar(&o.maxQuery, "max-query", 0, "reject queries longer than this (0 = unlimited)")
 	flag.IntVar(&o.batch, "batch", o.batch, "flush a backend batch at this many pending pairs (0 = the backend's preferred batch size)")
-	flag.DurationVar(&o.batchDelay, "batch-delay", o.batchDelay, "max time a pair waits for its batch to fill")
+	flag.DurationVar(&o.batchDelay, "batch-delay", o.batchDelay, "max time a pair waits for its batch to fill while other work is pending or just finished (an idle server dispatches at once)")
 	flag.IntVar(&o.queue, "queue", o.queue, "max pairs admitted but not completed (429 beyond)")
 	flag.IntVar(&o.cacheSize, "cache", o.cacheSize, "result cache entries (<0 disables)")
 	flag.StringVar(&o.jobsDir, "jobs-dir", "", "enable the async bulk job lane (POST /jobs), spooling inputs/results under this directory; must be empty or absent at startup (empty string = lane disabled)")

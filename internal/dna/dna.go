@@ -78,3 +78,23 @@ func ReverseComplement(codes []byte) []byte {
 	}
 	return out
 }
+
+// complementBase maps a raw base byte to its complement's canonical
+// uppercase byte: Decode(Complement(Encode(b))) in one lookup.
+var complementBase = func() (t [256]byte) {
+	for b := range t {
+		t[b] = Decode(Complement(Encode(byte(b))))
+	}
+	return t
+}()
+
+// ReverseComplementBases returns the reverse complement of a raw base
+// sequence in a new slice, in canonical uppercase with every non-ACGT
+// byte as N: DecodeSeq(ReverseComplement(EncodeSeq(seq))) in one pass.
+func ReverseComplementBases(seq []byte) []byte {
+	out := make([]byte, len(seq))
+	for i, b := range seq {
+		out[len(seq)-1-i] = complementBase[b]
+	}
+	return out
+}

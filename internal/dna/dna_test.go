@@ -50,6 +50,19 @@ func TestReverseComplement(t *testing.T) {
 	}
 }
 
+// TestReverseComplementBases: the one-pass raw reverse complement equals
+// encoding, complementing and decoding, for every byte value.
+func TestReverseComplementBases(t *testing.T) {
+	seq := make([]byte, 256)
+	for i := range seq {
+		seq[i] = byte(i)
+	}
+	want := DecodeSeq(ReverseComplement(EncodeSeq(seq)))
+	if got := ReverseComplementBases(seq); !bytes.Equal(got, want) {
+		t.Fatalf("ReverseComplementBases = %q, want %q", got, want)
+	}
+}
+
 func TestReverseComplementInvolution(t *testing.T) {
 	f := func(seq []byte) bool {
 		codes := EncodeSeq(seq)

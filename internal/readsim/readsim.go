@@ -126,7 +126,7 @@ func Simulate(ref []byte, n int, p Profile, seed int64) ([]Read, error) {
 		template := ref[pos : pos+length]
 		rc := rng.Float64() < p.RevCompFrac
 		if rc {
-			template = revComp(template)
+			template = dna.ReverseComplementBases(template)
 		}
 		seq, qual, errs := applyErrors(rng, template, rate, p)
 		reads = append(reads, Read{
@@ -147,10 +147,6 @@ func strandChar(rc bool) byte {
 		return '-'
 	}
 	return '+'
-}
-
-func revComp(s []byte) []byte {
-	return dna.DecodeSeq(dna.ReverseComplement(dna.EncodeSeq(s)))
 }
 
 // applyErrors walks the template, emitting errors at the per-read rate.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"genasm/internal/dna"
 	"genasm/internal/genome"
 	"genasm/internal/swg"
 )
@@ -44,7 +45,7 @@ func TestSimulateGroundTruthDistance(t *testing.T) {
 		tpl := ref[r.Pos : r.Pos+r.RefSpan]
 		read := r.Seq
 		if r.RevComp {
-			read = revComp(read)
+			read = dna.ReverseComplementBases(read)
 		}
 		d := swg.EditDistance(read, tpl)
 		if d > r.Errors {

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"sync"
 
 	"genasm"
@@ -109,5 +108,6 @@ func resultKey(fingerprint string, ref, query []byte) string {
 	write([]byte(fingerprint))
 	write(ref)
 	write(query)
-	return hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	return string(h.Sum(sum[:0])) // the raw digest: a map key needs no hex
 }

@@ -176,11 +176,13 @@ func (s *Server) mapAlignChunks(ctx context.Context, ref *Reference, all, bulk b
 // writeMapAlign answers /map-align in format. JSON is one buffered body:
 // every read is aligned before the first byte is written. SAM and PAF
 // stream in chunks of streamChunk reads, each chunk's records flushed as
-// soon as its alignments return; reads the pipeline rejects (empty
-// sequence, over the query limit) have no SAM/PAF record, so their count
-// travels in the TrailerStatus trailer. A failure before the first body
-// byte gets a real HTTP status (429 backpressure, 503 shutdown, ...);
-// after that the trailer is the stream's only error channel.
+// soon as its alignments return if another chunk follows (the last goes
+// out with the trailer when the handler returns); reads the pipeline
+// rejects (empty sequence, over the query limit) have no SAM/PAF record,
+// so their count travels in the TrailerStatus trailer. A failure before
+// the first body byte gets a real HTTP status (429 backpressure, 503
+// shutdown, ...); after that the trailer is the stream's only error
+// channel.
 func (s *Server) writeMapAlign(w http.ResponseWriter, r *http.Request, ref *Reference, req MapAlignRequest, format string) {
 	stream := format != "json"
 	size := len(req.Reads)
@@ -197,15 +199,18 @@ func (s *Server) writeMapAlign(w http.ResponseWriter, r *http.Request, ref *Refe
 	cw := &countingWriter{w: w}
 	rw := newRecordWriter(cw, format, ref)
 	flusher, _ := w.(http.Flusher)
-	skipped := 0
+	sent, skipped := 0, 0
 	err := s.mapAlignChunks(r.Context(), ref, req.AllCandidates, false, len(req.Reads), size,
 		func(start, end int) []ReadIn { return req.Reads[start:end] }, rw,
-		func(_, failed int) {
+		func(reads, failed int) {
+			sent += reads
 			skipped += failed
-			// Only force bytes (and thus the 200 status line) out once
-			// there are bytes: an empty flush would commit the headers
-			// prematurely.
-			if stream && cw.n > 0 && flusher != nil {
+			// Flush only when another chunk follows: net/http writes the
+			// last chunk's bytes with the trailer as the handler returns,
+			// so a flush here would cost a socket write for nothing. And
+			// only once there are bytes: an empty flush would commit the
+			// headers prematurely.
+			if stream && sent < len(req.Reads) && cw.n > 0 && flusher != nil {
 				flusher.Flush()
 			}
 		})

@@ -33,6 +33,7 @@ type Metrics struct {
 	pairsDone    *obs.Counter // alignment pairs completed by a backend batch
 	rejected     *obs.Counter // submissions refused by admission control (429)
 	batchErrs    *obs.Counter // backend batches that failed
+	panics       *obs.Counter // backend batches whose AlignBatch call panicked
 	queueDepth   *obs.Gauge   // pairs queued or in flight right now
 	cacheHits    *obs.Counter
 	cacheMisses  *obs.Counter
@@ -62,6 +63,7 @@ func NewMetrics(backend string) *Metrics {
 		pairsDone:    reg.Counter("genasm_pairs_done_total", "Alignment pairs completed by a backend batch."),
 		rejected:     reg.Counter("genasm_rejected_total", "Submissions refused by admission control (429)."),
 		batchErrs:    reg.Counter("genasm_batch_errors_total", "Backend batches that failed."),
+		panics:       reg.Counter("genasm_backend_panics_total", "Backend batches whose AlignBatch call panicked; the panic failed only that batch's jobs."),
 		queueDepth:   reg.Gauge("genasm_queue_depth", "Pairs queued or in flight right now."),
 		cacheHits:    reg.Counter("genasm_cache_hits_total", "Result-cache hits."),
 		cacheMisses:  reg.Counter("genasm_cache_misses_total", "Result-cache misses."),

@@ -6,11 +6,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"genasm"
 	"genasm/internal/obs"
 )
 
@@ -169,12 +172,18 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 }
 
 // TestTraceSpansSumToLatency is the tracing acceptance test: one traced
-// /align request shows distinct queue-wait, backend-exec and
+// /align request shows distinct decode, queue-wait, backend-exec and
 // serialization spans at /debug/traces, and their durations account for
 // the end-to-end latency (within scheduling noise).
 func TestTraceSpansSumToLatency(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheSize: -1,
 		Scheduler: SchedulerConfig{MaxDelay: 5 * time.Millisecond}})
+	// An idle server answers this request in ~0.1 ms, so a GC cycle
+	// running alongside it (its mark worker takes one of the two Ps a
+	// small CI runner has) would stretch it by more than the request
+	// itself. Collect first: scheduling noise, not GC, is what the bound
+	// below allows for.
+	runtime.GC()
 	hdr := alignOnce(t, ts, 93)
 	id := hdr.Get("X-Request-Id")
 	if len(id) != 16 {
@@ -212,16 +221,16 @@ func TestTraceSpansSumToLatency(t *testing.T) {
 		}
 		seen[sp.Name] += sp.DurationMS
 		switch sp.Name {
-		case "queue_wait", "backend_exec", "serialize":
+		case "decode", "queue_wait", "backend_exec", "serialize":
 			sum += sp.DurationMS
 		}
 	}
-	for _, want := range []string{"queue_wait", "batch_assemble", "backend_exec", "serialize"} {
+	for _, want := range []string{"decode", "queue_wait", "batch_assemble", "backend_exec", "serialize"} {
 		if _, ok := seen[want]; !ok {
 			t.Fatalf("trace lacks %q span; spans: %v", want, seen)
 		}
 	}
-	// The three stage spans must account for the bulk of the end-to-end
+	// The four stage spans must account for the bulk of the end-to-end
 	// time and never exceed it by more than measurement slack.
 	if sum > tr.DurationMS*1.05+0.5 {
 		t.Fatalf("stage spans sum %.3fms exceeds e2e %.3fms", sum, tr.DurationMS)
@@ -246,6 +255,44 @@ func TestTraceSpansSumToLatency(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("limit=bogus: %d, want 400", resp2.StatusCode)
+	}
+}
+
+// TestMapAlignTraceCoversEveryStage: a /map-align trace has one span
+// per serving stage, in the order the request runs them — decode and
+// map included, so the trace alone shows where an idle request's time
+// went.
+func TestMapAlignTraceCoversEveryStage(t *testing.T) {
+	srv, ts := newTestServer(t, Config{CacheSize: -1})
+	ref := genasm.GenerateGenome(40_000, 12)
+	if _, err := srv.Registry().Add("g", ref); err != nil {
+		t.Fatal(err)
+	}
+	status, body := doJSON(t, ts.Client(), "POST", ts.URL+"/map-align?format=sam",
+		MapAlignRequest{Ref: "g", Reads: []ReadIn{{Name: "r0", Seq: string(ref[5000:5600])}}})
+	if status != http.StatusOK {
+		t.Fatalf("map-align: %d %s", status, body)
+	}
+	_, body = doJSON(t, ts.Client(), "GET", ts.URL+"/debug/traces?limit=1", nil)
+	var ring struct {
+		Traces []obs.TraceView `json:"traces"`
+	}
+	if err := json.Unmarshal(body, &ring); err != nil || len(ring.Traces) != 1 {
+		t.Fatalf("trace ring: %v %s", err, body)
+	}
+	spans := ring.Traces[0].Spans
+	want := []string{"decode", "map", "queue_wait", "batch_assemble", "backend_exec", "serialize"}
+	if len(spans) != len(want) {
+		t.Fatalf("spans %+v, want one each of %v", spans, want)
+	}
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].OffsetMS < spans[j].OffsetMS })
+	for i, sp := range spans {
+		if sp.Name != want[i] {
+			t.Fatalf("span %d is %q, want %q (spans %+v)", i, sp.Name, want[i], spans)
+		}
+	}
+	if got := spans[1].Attrs["reads"]; got != "1" {
+		t.Fatalf("map span reads=%q, want 1", got)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -12,10 +14,15 @@ import (
 )
 
 // Scheduler errors surfaced to callers (the HTTP layer maps ErrQueueFull
-// to 429 Too Many Requests and ErrClosed to 503 Service Unavailable).
+// to 429 Too Many Requests, ErrClosed to 503 Service Unavailable and
+// ErrBackendPanic to 500).
 var (
 	ErrQueueFull = errors.New("server: scheduler queue full")
 	ErrClosed    = errors.New("server: scheduler closed")
+	// ErrBackendPanic answers every job of a batch whose backend
+	// AlignBatch call panicked: the panic is contained at the batch
+	// boundary instead of taking the process down.
+	ErrBackendPanic = errors.New("server: backend panicked")
 )
 
 // SchedulerConfig tunes the dynamic batcher.
@@ -28,8 +35,11 @@ type SchedulerConfig struct {
 	// paper's throughput lever — at the cost of per-request latency.
 	MaxBatch int
 	// MaxDelay bounds how long the first pair of a batch may wait before
-	// the batch is flushed regardless of size (default 2ms). This is the
-	// latency ceiling the batcher adds on an idle server.
+	// the batch is flushed regardless of size (default 2ms). An idle
+	// scheduler — nothing pending, nothing in flight, no batch finished
+	// within the last MaxDelay — dispatches a submission at once, so the
+	// wait applies only while other work is pending or just finished,
+	// when there is something to coalesce with.
 	MaxDelay time.Duration
 	// MaxQueue bounds the pairs admitted but not yet completed (queued
 	// plus in flight, default 4096). Beyond it Submit fails fast with
@@ -71,23 +81,29 @@ type schedResult struct {
 // admitted under a bounded queue, gathered until either MaxBatch pairs
 // are pending or the oldest has waited MaxDelay, then executed as one
 // Engine.AlignBatch call; each caller gets back exactly its slice of the
-// batch. Safe for concurrent use.
+// batch. A submission that finds the scheduler idle ships at once: with
+// nothing to coalesce with, waiting would only add latency. Safe for
+// concurrent use.
 type Scheduler struct {
 	eng *genasm.Engine
 	cfg SchedulerConfig
 	m   *Metrics
+	log *slog.Logger // where a contained backend panic's stack goes
 
 	mu        sync.Mutex
 	pending   []*schedJob
-	nPending  int // pairs in pending
-	nInFlight int // pairs dispatched, not yet completed
+	nPending  int       // pairs in pending
+	nInFlight int       // pairs dispatched, not yet completed
+	lastDone  time.Time // when the most recent batch completed
 	timer     *time.Timer
 	timerGen  uint64 // bumped whenever a batch is claimed; stale timer callbacks no-op
 	closed    bool
 	wg        sync.WaitGroup // in-flight batch executors
 }
 
-// NewScheduler wraps eng with a dynamic batcher. Metrics may be nil.
+// NewScheduler wraps eng with a dynamic batcher. Metrics may be nil. A
+// backend panic is logged to slog.Default(); a Server logs it to its
+// Config.Logger instead.
 func NewScheduler(eng *genasm.Engine, cfg SchedulerConfig, m *Metrics) *Scheduler {
 	if cfg.MaxBatch <= 0 {
 		// Size the flush threshold to the backend's stated appetite
@@ -98,7 +114,7 @@ func NewScheduler(eng *genasm.Engine, cfg SchedulerConfig, m *Metrics) *Schedule
 	if m == nil {
 		m = NewMetrics(eng.BackendName())
 	}
-	return &Scheduler{eng: eng, cfg: cfg, m: m}
+	return &Scheduler{eng: eng, cfg: cfg, m: m, log: slog.Default()}
 }
 
 // Metrics returns the scheduler's metrics sink.
@@ -149,14 +165,22 @@ func (s *Scheduler) submit(ctx context.Context, pairs []genasm.Pair) ([]genasm.R
 		s.m.rejected.Add(1)
 		return nil, ErrQueueFull
 	}
+	// Quiet: no batch to join and none running or just finished, so no
+	// company is likely within MaxDelay. A burst still coalesces: its
+	// first arrival ships alone, the rest gather behind it.
+	quiet := s.nPending == 0 && s.nInFlight == 0 && j.enqueued.Sub(s.lastDone) >= s.cfg.MaxDelay
 	s.pending = append(s.pending, j)
 	s.nPending += len(pairs)
 	s.m.pairsIn.Add(int64(len(pairs)))
 	s.m.queueDepth.Store(int64(s.nPending + s.nInFlight))
-	if s.nPending >= s.cfg.MaxBatch {
+	if quiet || s.nPending >= s.cfg.MaxBatch {
+		trigger := triggerSize
+		if quiet {
+			trigger = triggerIdle
+		}
 		batch := s.takeBatchLocked()
 		s.mu.Unlock()
-		s.dispatch(batch)
+		s.dispatch(batch, trigger)
 	} else {
 		if s.timer == nil {
 			gen := s.timerGen
@@ -213,19 +237,28 @@ func (s *Scheduler) flushOnDeadline(gen uint64) {
 	}
 	batch := s.takeBatchLocked()
 	s.mu.Unlock()
-	s.dispatch(batch)
+	s.dispatch(batch, triggerDeadline)
 }
+
+// Batch triggers: why a batch was claimed, recorded as the trigger
+// attribute of its batch_assemble span.
+const (
+	triggerIdle     = "idle"     // a submission found the scheduler quiet
+	triggerSize     = "size"     // MaxBatch pairs were pending
+	triggerDeadline = "deadline" // the oldest pending pair waited MaxDelay
+	triggerClose    = "close"    // Close drained the pending jobs
+)
 
 // dispatch executes one batch asynchronously so Submit returns to its
 // select immediately and new arrivals keep coalescing meanwhile.
-func (s *Scheduler) dispatch(batch []*schedJob) {
+func (s *Scheduler) dispatch(batch []*schedJob, trigger string) {
 	if len(batch) == 0 {
 		return
 	}
-	go s.runBatch(batch)
+	go s.runBatch(batch, trigger)
 }
 
-func (s *Scheduler) runBatch(batch []*schedJob) {
+func (s *Scheduler) runBatch(batch []*schedJob, trigger string) {
 	defer s.wg.Done()
 	claimed := time.Now()
 	n := 0
@@ -250,7 +283,7 @@ func (s *Scheduler) runBatch(batch []*schedJob) {
 		all = append(all, j.pairs...)
 	}
 	btr.Record("batch_assemble", claimed, time.Since(claimed),
-		obs.Int("pairs", n), obs.Int("requests", len(batch)))
+		obs.Int("pairs", n), obs.Int("requests", len(batch)), obs.String("trigger", trigger))
 	// The batch runs under the scheduler's lifetime, not any single
 	// caller's context: one impatient client must not cancel its
 	// co-batched neighbours.
@@ -260,7 +293,7 @@ func (s *Scheduler) runBatch(batch []*schedJob) {
 		ctx = obs.WithTrace(ctx, btr)
 	}
 	execStart := time.Now()
-	results, err := s.eng.AlignBatch(ctx, all)
+	results, err := s.alignContained(ctx, all)
 	execDur := time.Since(execStart)
 	btr.Record("backend_exec", execStart, execDur,
 		obs.String("backend", s.eng.BackendName()), obs.Int("pairs", n))
@@ -271,6 +304,14 @@ func (s *Scheduler) runBatch(batch []*schedJob) {
 	} else {
 		s.m.pairsDone.Add(int64(n))
 	}
+	// Free the batch's queue slots before waking its submitters, so one
+	// that submits again at once is admitted against them and sees this
+	// batch as just finished.
+	s.mu.Lock()
+	s.nInFlight -= n
+	s.lastDone = time.Now()
+	s.m.queueDepth.Store(int64(s.nPending + s.nInFlight))
+	s.mu.Unlock()
 	off := 0
 	for _, j := range batch {
 		// Splice the shared batch spans in before signalling done, so a
@@ -283,10 +324,24 @@ func (s *Scheduler) runBatch(batch []*schedJob) {
 		}
 		off += len(j.pairs)
 	}
-	s.mu.Lock()
-	s.nInFlight -= n
-	s.m.queueDepth.Store(int64(s.nPending + s.nInFlight))
-	s.mu.Unlock()
+}
+
+// alignContained runs one batch on the engine and turns a panic on this
+// goroutine into ErrBackendPanic, so a faulty backend fails its batch's
+// jobs instead of the process. The panic value and stack go to the log,
+// not to the clients: the error they get is ErrBackendPanic alone. A
+// backend that panics on a goroutine of its own is beyond any caller's
+// recover.
+func (s *Scheduler) alignContained(ctx context.Context, pairs []genasm.Pair) (results []genasm.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.m.panics.Add(1)
+			s.log.Error("backend panicked; its batch failed", "backend", s.eng.BackendName(),
+				"pairs", len(pairs), "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			results, err = nil, ErrBackendPanic
+		}
+	}()
+	return s.eng.AlignBatch(ctx, pairs)
 }
 
 // Close stops admission, flushes anything pending, and waits for
@@ -302,6 +357,6 @@ func (s *Scheduler) Close() {
 	s.closed = true
 	batch := s.takeBatchLocked()
 	s.mu.Unlock()
-	s.dispatch(batch)
+	s.dispatch(batch, triggerClose)
 	s.wg.Wait()
 }

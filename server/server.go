@@ -170,6 +170,7 @@ func New(cfg Config) (*Server, error) {
 		traces:      obs.NewTraceLog(cfg.TraceBuffer),
 		build:       obs.ReadBuildInfo(),
 	}
+	s.sched.log = cfg.Logger
 	s.exec = localExecutor{s: s}
 	s.routes()
 	if cfg.Jobs.Dir != "" {
@@ -519,15 +520,17 @@ type alignedRead struct {
 }
 
 // alignReads runs map+align for a batch of reads against one registered
-// reference: planning on the shared mapper, then alignCached for every
-// candidate pair in the batch at once (so the pairs coalesce with other
-// requests' work). Per-read problems (empty sequence, over the engine's
-// query limit) land in that read's err; the returned error is a
-// whole-submission failure (backpressure, shutdown, cancellation).
+// reference: planning on the shared mapper (the map span), then
+// alignCached for every candidate pair in the batch at once (so the
+// pairs coalesce with other requests' work). Per-read problems (empty
+// sequence, over the engine's query limit) land in that read's err; the
+// returned error is a whole-submission failure (backpressure, shutdown,
+// cancellation).
 func (s *Server) alignReads(ctx context.Context, ref *Reference, reads []ReadIn, all bool) ([]alignedRead, error) {
 	maxQ := s.eng.MaxQueryLen()
 	out := make([]alignedRead, len(reads))
 	var pairs []genasm.Pair
+	sp := obs.StartSpan(ctx, "map", obs.Int("reads", len(reads)))
 	for i, rd := range reads {
 		if rd.Seq == "" {
 			out[i].err = errors.New("empty read sequence")
@@ -547,6 +550,7 @@ func (s *Server) alignReads(ctx context.Context, ref *Reference, reads []ReadIn,
 		s.metrics.readsMapped.Add(1)
 		pairs = append(pairs, ps...)
 	}
+	sp.End()
 	results, cached, err := s.alignCached(ctx, pairs)
 	if err != nil {
 		return nil, err
@@ -775,10 +779,13 @@ func toAlignResult(r genasm.Result, cached bool) AlignResult {
 // Handler installs) and unmarshals it into v, answering 413 when the
 // body exceeded the MaxBodyBytes cap and 400 on malformed JSON. It also
 // returns the raw bytes, so proxy mode forwards exactly what the client
-// sent instead of a re-encoding.
+// sent instead of a re-encoding. The read and the unmarshal are the
+// request's decode span.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
+	sp := obs.StartSpan(r.Context(), "decode")
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
+		sp.End()
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge,
@@ -788,7 +795,9 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte
 		}
 		return nil, false
 	}
-	if err := json.Unmarshal(raw, v); err != nil {
+	err = json.Unmarshal(raw, v)
+	sp.End()
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return nil, false
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"genasm"
+	"genasm/internal/obs"
 	"genasm/internal/samfmt"
 )
 
@@ -737,6 +738,92 @@ func TestHandlerForwardsFlush(t *testing.T) {
 	}
 }
 
+// TestStreamFlushesOnlyBetweenChunks: a SAM answer that fits one chunk
+// is not flushed by the handler — net/http writes it with the trailer as
+// the handler returns — while a longer stream flushes every chunk that
+// has another behind it, so its first records reach the client early.
+func TestStreamFlushesOnlyBetweenChunks(t *testing.T) {
+	srv, err := New(Config{Scheduler: SchedulerConfig{MaxDelay: time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	serve := func(method, url string, body any) *httptest.ResponseRecorder {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, url, bytes.NewReader(b)))
+		return rec
+	}
+	ref := genasm.GenerateGenome(40_000, 11)
+	if rec := serve("POST", "/refs", RefAddRequest{Name: "g", Sequence: string(ref)}); rec.Code != http.StatusCreated {
+		t.Fatalf("upload status %d: %s", rec.Code, rec.Body)
+	}
+	for _, tc := range []struct {
+		reads   int
+		flushed bool
+	}{{1, false}, {streamChunk + 8, true}} {
+		req := MapAlignRequest{Ref: "g"}
+		for i := 0; i < tc.reads; i++ {
+			off := 1000 + i*400
+			req.Reads = append(req.Reads, ReadIn{Name: fmt.Sprintf("r%d", i), Seq: string(ref[off : off+300])})
+		}
+		rec := serve("POST", "/map-align?format=sam", req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%d reads: status %d: %s", tc.reads, rec.Code, rec.Body)
+		}
+		if rec.Flushed != tc.flushed {
+			t.Fatalf("%d reads: flushed = %v, want %v", tc.reads, rec.Flushed, tc.flushed)
+		}
+		if got := rec.Result().Trailer.Get(TrailerStatus); got != "ok" {
+			t.Fatalf("%d reads: trailer %q, want ok", tc.reads, got)
+		}
+		if got := strings.Count(rec.Body.String(), "\nr"); got < tc.reads {
+			t.Fatalf("%d reads: %d records in the body", tc.reads, got)
+		}
+	}
+}
+
+// TestAlignBackendPanic: over HTTP, a backend panic answers its request
+// with 500 and ErrBackendPanic alone, logs the panic value and stack, is
+// exported as genasm_backend_panics_total, and the server keeps serving.
+func TestAlignBackendPanic(t *testing.T) {
+	var logs syncBuffer
+	logger, err := obs.NewLogger(&logs, "json", "info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{
+		EngineOptions: []genasm.Option{genasm.WithBackendName(panickyBackendName)},
+		Scheduler:     SchedulerConfig{MaxDelay: time.Millisecond},
+		CacheSize:     -1,
+		Logger:        logger,
+	})
+	status, body := doJSON(t, ts.Client(), "POST", ts.URL+"/align", AlignRequest{
+		Pairs: []AlignPair{{Query: string(panicQuery), Ref: "ACGTACGT"}}})
+	if status != http.StatusInternalServerError || !strings.Contains(string(body), ErrBackendPanic.Error()) {
+		t.Fatalf("panicking batch: status %d (%s), want 500 naming the panic", status, body)
+	}
+	if strings.Contains(string(body), panicValue) {
+		t.Fatalf("the 500 body leaks the panic value: %s", body)
+	}
+	if l := logs.String(); !strings.Contains(l, panicValue) || !strings.Contains(l, "panickyBackend.AlignBatch") {
+		t.Fatalf("log lacks the panic value or its stack:\n%s", l)
+	}
+	pairs := testPairs(t, 1, 85)
+	status, body = doJSON(t, ts.Client(), "POST", ts.URL+"/align", AlignRequest{
+		Pairs: []AlignPair{{Query: string(pairs[0].Query), Ref: string(pairs[0].Ref)}}})
+	if status != http.StatusOK {
+		t.Fatalf("healthy request after the panic: status %d (%s)", status, body)
+	}
+	_, body = doJSON(t, ts.Client(), "GET", ts.URL+"/metrics?format=prometheus", nil)
+	if !strings.Contains(string(body), `genasm_backend_panics_total{backend="panicky"} 1`) {
+		t.Fatalf("exposition lacks one counted panic:\n%s", body)
+	}
+}
+
 // TestMapAlignStreamErrorAfterEmptyChunks: a PAF stream whose early
 // chunks write no records (all unmapped) has committed no bytes, so a
 // later scheduler failure must still surface as a real HTTP status.
@@ -887,16 +974,17 @@ func TestServerOnMultiBackend(t *testing.T) {
 // TestSchedulerSizedFromCapabilities: with no explicit MaxBatch the
 // scheduler flushes at the backend's PreferredBatch, not a hardcoded 64.
 func TestSchedulerSizedFromCapabilities(t *testing.T) {
-	eng, err := genasm.NewEngine(genasm.WithThreads(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, g := newGatedEngine(t, genasm.WithThreads(3))
 	s := NewScheduler(eng, SchedulerConfig{MaxDelay: time.Minute, MaxQueue: 1 << 20}, nil)
 	defer s.Close()
+	defer g.release()
 	want := eng.Capabilities().PreferredBatch // 4 pairs per worker
 	if want != 12 {
 		t.Fatalf("unexpected preferred batch %d for 3 threads", want)
 	}
+	// A batch held in flight keeps the scheduler busy, so the
+	// submissions below park instead of dispatching one by one.
+	held := holdInFlight(t, s, g, testPairs(t, 1, 78))
 	// Submit exactly PreferredBatch pairs from separate goroutines; the
 	// size trigger must flush them as one batch long before the
 	// minute-long deadline.
@@ -911,9 +999,16 @@ func TestSchedulerSizedFromCapabilities(t *testing.T) {
 			}
 		}(i)
 	}
+	if got := g.awaitEntered(t); got != want {
+		t.Fatalf("%d pairs flushed as a batch of %d, want 1 size-triggered flush of all", want, got)
+	}
+	g.release()
 	wg.Wait()
-	if got := s.Metrics().batchSize.Count(); got != 1 {
-		t.Fatalf("%d pairs ran as %d batches, want 1 size-triggered flush", want, got)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Metrics().batchSize.Count() - 1; got != 1 {
+		t.Fatalf("%d pairs ran as %d batches besides the held one, want 1 size-triggered flush", want, got)
 	}
 }
 
@@ -939,12 +1034,12 @@ func TestQueryTooLongMapsToBadRequest(t *testing.T) {
 // larger than the whole queue is refused outright.
 func TestAdmissionEdgeCases(t *testing.T) {
 	t.Run("queue full sheds 429 with Retry-After", func(t *testing.T) {
-		srv, ts := newTestServer(t, Config{
+		srv, ts, g := newGatedServer(t, Config{
 			Scheduler: SchedulerConfig{MaxBatch: 1 << 20, MaxDelay: 250 * time.Millisecond, MaxQueue: 2},
 			CacheSize: -1,
 		})
 		pairs := testPairs(t, 3, 81)
-		// Fill the queue: a 2-pair request sits pending for MaxDelay.
+		// Fill the queue: a 2-pair request is held in flight.
 		bgStatus := make(chan int, 1)
 		go func() {
 			status, _ := doJSON(t, ts.Client(), "POST", ts.URL+"/align", AlignRequest{Pairs: []AlignPair{
@@ -953,6 +1048,9 @@ func TestAdmissionEdgeCases(t *testing.T) {
 			}})
 			bgStatus <- status
 		}()
+		if n := g.awaitEntered(t); n != 2 {
+			t.Fatalf("held batch has %d pairs, want 2", n)
+		}
 		deadline := time.Now().Add(5 * time.Second)
 		for srv.Metrics().queueDepth.Load() < 2 {
 			if time.Now().After(deadline) {
@@ -976,38 +1074,51 @@ func TestAdmissionEdgeCases(t *testing.T) {
 		if resp.Header.Get("Retry-After") == "" {
 			t.Fatal("429 without Retry-After")
 		}
+		g.release()
 		if got := <-bgStatus; got != http.StatusOK {
 			t.Fatalf("queued request finished %d, want 200 (shedding must not evict admitted work)", got)
 		}
 	})
 
 	t.Run("graceful drain finishes admitted work then 503s", func(t *testing.T) {
-		srv, ts := newTestServer(t, Config{
-			Scheduler: SchedulerConfig{MaxBatch: 1 << 20, MaxDelay: 250 * time.Millisecond},
+		srv, ts, g := newGatedServer(t, Config{
+			Scheduler: SchedulerConfig{MaxBatch: 1 << 20, MaxDelay: time.Hour},
 			CacheSize: -1,
 		})
-		pairs := testPairs(t, 2, 82)
-		bgStatus := make(chan int, 1)
-		go func() {
-			status, _ := doJSON(t, ts.Client(), "POST", ts.URL+"/align", AlignRequest{Pairs: []AlignPair{
-				{Query: string(pairs[0].Query), Ref: string(pairs[0].Ref)}}})
-			bgStatus <- status
-		}()
+		pairs := testPairs(t, 3, 82)
+		post := func(p genasm.Pair) <-chan int {
+			status := make(chan int, 1)
+			go func() {
+				st, _ := doJSON(t, ts.Client(), "POST", ts.URL+"/align", AlignRequest{Pairs: []AlignPair{
+					{Query: string(p.Query), Ref: string(p.Ref)}}})
+				status <- st
+			}()
+			return status
+		}
+		// A first request is held in flight, so the second parks in the
+		// queue.
+		heldStatus := post(pairs[0])
+		g.awaitEntered(t)
+		bgStatus := post(pairs[1])
 		deadline := time.Now().Add(5 * time.Second)
-		for srv.Metrics().queueDepth.Load() < 1 {
+		for srv.Metrics().queueDepth.Load() < 2 {
 			if time.Now().After(deadline) {
 				t.Fatal("queue never filled")
 			}
 			time.Sleep(time.Millisecond)
 		}
-		// Close drains: the pending pair must complete with 200, well
-		// before its 250ms flush deadline would have fired.
+		// Close drains: the parked pair must complete with 200, though
+		// its hour-long flush deadline is far off.
+		g.release()
 		srv.sched.Close()
+		if got := <-heldStatus; got != http.StatusOK {
+			t.Fatalf("held request finished %d, want 200", got)
+		}
 		if got := <-bgStatus; got != http.StatusOK {
 			t.Fatalf("drained request finished %d, want 200", got)
 		}
 		status, _ := doJSON(t, ts.Client(), "POST", ts.URL+"/align", AlignRequest{Pairs: []AlignPair{
-			{Query: string(pairs[1].Query), Ref: string(pairs[1].Ref)}}})
+			{Query: string(pairs[2].Query), Ref: string(pairs[2].Ref)}}})
 		if status != http.StatusServiceUnavailable {
 			t.Fatalf("post-drain status %d, want 503", status)
 		}
@@ -1083,17 +1194,20 @@ func TestStreamTrailerEdgeCases(t *testing.T) {
 	})
 
 	t.Run("error mid-stream: committed 200, error trailer", func(t *testing.T) {
-		// MaxDelay is generous so chunk one's single mappable pair sits
-		// pending until the test drains the scheduler — a deterministic
-		// window, no sleep-based racing: the test observes the pair in
-		// the queue (depth > 0), closes the scheduler, chunk one then
-		// completes via the drain and flushes its records (committing the
-		// 200), and chunk two's submission fails against the now-closed
-		// scheduler with the error in the trailer.
-		srv, ts := newTestServer(t, Config{
+		// A batch held in flight keeps the scheduler busy and MaxDelay
+		// is generous, so chunk one's single mappable pair sits pending
+		// until the test drains the scheduler — a deterministic window,
+		// no sleep-based racing: the test observes the pair in the queue
+		// (depth 2 with the held pair), lets the held batch finish,
+		// closes the scheduler, chunk one then completes via the drain
+		// and flushes its records (committing the 200), and chunk two's
+		// submission fails against the now-closed scheduler with the
+		// error in the trailer.
+		srv, ts, g := newGatedServer(t, Config{
 			Scheduler: SchedulerConfig{MaxBatch: 1 << 20, MaxDelay: 30 * time.Second},
 			CacheSize: -1,
 		})
+		held := holdInFlight(t, srv.sched, g, testPairs(t, 1, 84))
 		ref := genasm.GenerateGenome(40_000, 3)
 		foreign := genasm.GenerateGenome(80_000, 99) // its reads map nowhere
 		if status, body := doJSON(t, ts.Client(), "POST", ts.URL+"/refs",
@@ -1123,13 +1237,17 @@ func TestStreamTrailerEdgeCases(t *testing.T) {
 			outc <- streamOut{status, body, trailer}
 		}()
 		deadline := time.Now().Add(10 * time.Second)
-		for srv.Metrics().queueDepth.Load() == 0 {
+		for srv.Metrics().queueDepth.Load() < 2 {
 			if time.Now().After(deadline) {
 				t.Fatal("chunk one never reached the scheduler")
 			}
 			time.Sleep(time.Millisecond)
 		}
+		g.release()
 		srv.sched.Close()
+		if err := <-held; err != nil {
+			t.Fatalf("held submission: %v", err)
+		}
 		out := <-outc
 		if out.status != http.StatusOK {
 			t.Fatalf("status %d, want committed 200", out.status)

@@ -165,6 +165,4 @@ func (m *Mapper) Plan(idx int, rd Read, all bool) ([]MappedAlignment, []Pair) {
 
 // ReverseComplement returns the reverse complement of a raw ASCII
 // sequence.
-func ReverseComplement(seq []byte) []byte {
-	return dna.DecodeSeq(dna.ReverseComplement(dna.EncodeSeq(seq)))
-}
+func ReverseComplement(seq []byte) []byte { return dna.ReverseComplementBases(seq) }
